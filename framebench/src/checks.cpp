@@ -1,6 +1,5 @@
 #include "checks.h"
 
-#include <algorithm>
 #include <cstring>
 #include <string>
 
@@ -18,10 +17,6 @@ std::string at(const FrameRecord& f) {
 bool same_bits(float a, float b) {
   return std::memcmp(&a, &b, sizeof a) == 0;
 }
-
-// Detections every record has room for: DetectorConfig's top_k.
-const std::size_t kRecordCapacity =
-    static_cast<std::size_t>(ada::DetectorConfig{}.top_k);
 
 bool same_box(const ada::Box& a, const ada::Box& b) {
   return same_bits(a.x1, b.x1) && same_bits(a.y1, b.y1) &&
@@ -42,11 +37,7 @@ FrameRecord make_record(int stream, int snippet, int frame, int scale,
   r.key = key;
   r.image_h = out.image_h;
   r.image_w = out.image_w;
-  // Sized (and written) for top_k detections whatever the frame holds, so
-  // the records a window keeps weigh the same on every seed and the
-  // benchmark's share of peak_rss_mb does not move with the content.
-  r.dets.resize(std::max(out.detections.size(), kRecordCapacity));
-  r.dets.clear();
+  r.dets.reserve(out.detections.size());
   for (const ada::Detection& d : out.detections)
     r.dets.push_back(ada::EvalDetection{d.box, d.class_id, d.score});
   return r;

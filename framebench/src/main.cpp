@@ -13,14 +13,15 @@
 //       to FILE as Chrome trace-event JSON.
 //
 // framebench/run.py builds this binary and calls both forms.  Exit status:
-// 0 when every check passed, 1 when one failed (the JSON line is still
-// printed), 2 on bad arguments.
+// 0 whenever the JSON line is printed (its "correct" says whether every
+// check passed), 2 on bad arguments.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "tensor/qgemm.h"
+#include "util/json.h"
 #include "workloads.h"
 
 namespace {
@@ -30,19 +31,12 @@ namespace {
   std::exit(2);
 }
 
+// ada::JsonWriter prints doubles to six significant digits; the result
+// line carries every measured digit.
 std::string json_number(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;
-}
-
-std::string json_string(const std::string& s) {
-  std::string out = "\"";
-  for (char ch : s) {
-    if (ch == '"' || ch == '\\') out += '\\';
-    out += ch;
-  }
-  return out + "\"";
 }
 
 }  // namespace
@@ -131,11 +125,12 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < r.metrics.size(); ++i) {
     const framebench::Metric& m = r.metrics[i];
     if (i > 0) line += ", ";
-    line += json_string(m.name) + ": {\"value\": " + json_number(m.value) +
-            ", \"unit\": " + json_string(m.unit) + "}";
+    line += "\"" + ada::json_escape(m.name) + "\": {\"value\": " +
+            json_number(m.value) + ", \"unit\": \"" +
+            ada::json_escape(m.unit) + "\"}";
   }
   line += "}}";
   std::printf("%s\n", line.c_str());
   std::fflush(stdout);
-  return r.check_failures.empty() ? 0 : 1;
+  return 0;
 }
