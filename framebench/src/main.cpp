@@ -107,8 +107,7 @@ int main(int argc, char** argv) {
   std::printf("host: nproc %d, qgemm_kernel_isa %s, ADASCALE_THREADS %s\n",
               framebench::host_nproc(), ada::qgemm_kernel_isa(),
               threads.c_str());
-  std::printf("workload %s seed %llu trace %d: frames attempted %ld, "
-              "failed %ld\n",
+  std::printf("workload %s seed %llu trace %d: attempted %ld, failed %ld\n",
               opt.workload.c_str(), static_cast<unsigned long long>(opt.seed),
               opt.trace ? 1 : 0, r.attempted, r.failed);
   for (const std::string& n : r.notes) std::printf("  %s\n", n.c_str());

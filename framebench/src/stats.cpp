@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <utility>
 
 namespace framebench {
 
@@ -31,24 +30,6 @@ std::optional<double> tail_percentile(std::vector<double> samples, double q) {
                    samples.begin() + static_cast<std::ptrdiff_t>(idx),
                    samples.end());
   return samples[idx];
-}
-
-std::optional<double> segmented_percentile(const std::vector<double>& samples,
-                                           double q, int segments) {
-  if (segments < 1) return std::nullopt;
-  const std::size_t per = samples.size() / static_cast<std::size_t>(segments);
-  std::vector<double> quantiles;
-  for (int i = 0; i < segments; ++i) {
-    const auto begin = samples.begin() + static_cast<std::ptrdiff_t>(i * per);
-    const auto end = i + 1 == segments
-                         ? samples.end()
-                         : begin + static_cast<std::ptrdiff_t>(per);
-    const std::optional<double> v =
-        tail_percentile(std::vector<double>(begin, end), q);
-    if (!v) return std::nullopt;
-    quantiles.push_back(*v);
-  }
-  return median(std::move(quantiles));
 }
 
 Summary summarize(const std::vector<double>& samples) {

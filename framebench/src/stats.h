@@ -20,13 +20,6 @@ double median(std::vector<double> samples);
 /// samples lie beyond it; nullopt otherwise.
 std::optional<double> tail_percentile(std::vector<double> samples, double q);
 
-/// The median of the q-quantiles of `segments` consecutive, equal slices of
-/// `samples` (the last takes the remainder), so that a burst of host noise
-/// in one slice does not carry the result; nullopt when a slice's quantile
-/// would be.  One segment is tail_percentile.
-std::optional<double> segmented_percentile(const std::vector<double>& samples,
-                                           double q, int segments);
-
 /// Median plus the highest of {0.999, 0.99, 0.95, 0.9, 0.75} that the
 /// sample supports (tail_q == 0 when none does).
 struct Summary {

@@ -28,8 +28,10 @@ struct RunOptions {
 };
 
 struct RunResult {
-  long attempted = 0;  ///< frames offered in the measured window
-  long failed = 0;     ///< offered frames that were not served
+  /// Frames offered in the measured window, plus dff_mixed_int8's one
+  /// mixed-precision bar comparison.
+  long attempted = 0;
+  long failed = 0;  ///< offered frames not served, plus a missed bar
   std::vector<Metric> metrics;
   std::vector<std::string> check_failures;  ///< empty when correct
   std::vector<std::string> notes;           ///< host and run facts

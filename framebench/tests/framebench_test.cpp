@@ -41,16 +41,6 @@ TEST(Stats, TailNeedsTenSamplesBeyond) {
   EXPECT_DOUBLE_EQ(s.median, 500.5);
 }
 
-TEST(Stats, SegmentedPercentileIgnoresOneNoisySegment) {
-  std::vector<double> v;
-  for (int seg = 0; seg < 4; ++seg)
-    for (double x : ramp(1000)) v.push_back(seg == 0 ? 5.0 * x : x);
-  EXPECT_DOUBLE_EQ(*segmented_percentile(v, 0.99, 4), 990.0);
-  EXPECT_DOUBLE_EQ(*segmented_percentile(ramp(1000), 0.99, 1),
-                   *tail_percentile(ramp(1000), 0.99));
-  EXPECT_FALSE(segmented_percentile(ramp(3999), 0.99, 4).has_value());
-}
-
 TEST(Trace, SumsSpansAndWritesChromeEvents) {
   Tracer tr(2);
   const int v = tr.span(1, "data.render_ms", 3, 7, [] { return 42; });
