@@ -1,16 +1,13 @@
-// Multi-stream serving throughput: N independent AdaScale pipelines driven
-// concurrently (runtime/multi_stream.h) versus one after another, plus the
-// cross-stream *batched* mode where same-scale frames share one backbone
-// forward (runtime/batch_scheduler.h).
+// Multi-stream serving throughput: N independent AdaScale pipelines served
+// concurrently through the stream table (runtime/multi_stream.h) versus one
+// after another.
 //
 // This is the production-serving scenario the ROADMAP targets: many users'
 // video streams arriving at once.  Algorithm 1 is sequential within a stream
 // (frame t picks frame t+1's scale), so cross-stream concurrency is the
 // scaling axis.  Expected shape: aggregate FPS grows near-linearly with
-// streams until the core count saturates; on a single core all unbatched
-// rows should sit near 1.0x.  The batched rows then stack GEMM-call
-// amortization on top: one sgemm per layer per *batch* instead of per
-// frame.  `MeanBatch` reports how full the scheduler's batches actually ran.
+// streams until the core count saturates; on a single core all rows should
+// sit near 1.0x.
 //
 // Usage: bench_multi_stream [max_streams] [snippets]
 #include <algorithm>
@@ -53,10 +50,8 @@ int main(int argc, char** argv) {
   std::vector<const Snippet*> jobs;
   for (const Snippet& s : stream_ds.train_snippets()) jobs.push_back(&s);
 
-  TextTable table(
-      {"Mode", "Wall(ms)", "Agg FPS", "Speedup", "MeanBatch", "Frames"});
+  TextTable table({"Mode", "Wall(ms)", "Agg FPS", "Speedup", "Frames"});
   double serial_fps = 0.0;
-  double unbatched_max_fps = 0.0;
   for (int n = 1; n <= max_streams; n *= 2) {
     MultiStreamRunner runner(det, reg, &h.renderer(), h.dataset().scale_policy(),
                              ScaleSet::reg_default(), n);
@@ -65,51 +60,14 @@ int main(int argc, char** argv) {
       MultiStreamResult s = runner.run_serial(jobs);
       serial_fps = s.aggregate_fps;
       table.add_row({"serial", fmt(s.wall_ms, 0), fmt(s.aggregate_fps, 1),
-                     "1.00x", "-", std::to_string(s.total_frames)});
+                     "1.00x", std::to_string(s.total_frames)});
     }
     MultiStreamResult r = runner.run(jobs);
-    unbatched_max_fps = std::max(unbatched_max_fps, r.aggregate_fps);
     table.add_row({std::to_string(n) + " streams", fmt(r.wall_ms, 0),
                    fmt(r.aggregate_fps, 1),
-                   fmt(r.aggregate_fps / serial_fps, 2) + "x", "-",
+                   fmt(r.aggregate_fps / serial_fps, 2) + "x",
                    std::to_string(r.total_frames)});
   }
-
-  // Batched mode at the full stream count, with target scales snapped to
-  // the regressor set so same-scale buckets actually fill (raw Algorithm-1
-  // decode yields arbitrary integer scales that almost never coincide).
-  // The snapped unbatched row is the apples-to-apples baseline: identical
-  // work, no batching.
-  {
-    MultiStreamRunner snapped(det, reg, &h.renderer(),
-                              h.dataset().scale_policy(),
-                              ScaleSet::reg_default(), max_streams,
-                              /*init_scale=*/600, /*snap_scales=*/true);
-    MultiStreamResult u = snapped.run(jobs);
-    const double snapped_fps = u.aggregate_fps;
-    table.add_row({"snapped unbatched", fmt(u.wall_ms, 0),
-                   fmt(u.aggregate_fps, 1),
-                   fmt(u.aggregate_fps / serial_fps, 2) + "x", "-",
-                   std::to_string(u.total_frames)});
-    for (int mb = 2; mb <= max_streams; mb *= 2) {
-      BatchSchedulerConfig cfg;
-      cfg.max_batch = mb;
-      MultiStreamResult r = snapped.run_batched(jobs, cfg);
-      table.add_row({"batched b<=" + std::to_string(mb), fmt(r.wall_ms, 0),
-                     fmt(r.aggregate_fps, 1),
-                     fmt(r.aggregate_fps / snapped_fps, 2) + "x (vs snapped)",
-                     fmt(r.batch_stats.mean_batch(), 2),
-                     std::to_string(r.total_frames)});
-    }
-  }
   std::printf("%s\n", table.to_string().c_str());
-  std::printf("unbatched best: %.1f FPS — batched rows above compare "
-              "against the same jobs on %d streams\n",
-              unbatched_max_fps, max_streams);
-  std::printf("note: this bench pins ADASCALE_THREADS=1 to isolate "
-              "stream-level scaling, which understates batching (a batch's "
-              "single big GEMM cannot use the kernel pool).  bench_report's "
-              "multi_stream section measures the full-machine comparison "
-              "that BENCH_kernels.json records.\n");
   return 0;
 }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 
 #include "tensor/image_ops.h"
 #include "util/timer.h"
@@ -15,13 +13,13 @@ namespace ada {
 /// pass through to the constructor-supplied models.  With a pool, the
 /// first det()/reg() call acquires a lease and every later call within the
 /// hold returns the SAME context (process() relies on detect() and the
-/// following features() read hitting one instance); drop() releases it —
-/// mandatory before a blocking DetectBackend call, after which the next
-/// det()/reg() transparently re-acquires (possibly a different, but
-/// bit-equivalent, context).
+/// following features() read hitting one instance); the destructor
+/// releases it.
 struct AdaScalePipeline::ModelLease {
   explicit ModelLease(AdaScalePipeline* p) : p_(p) {}
-  ~ModelLease() { drop(); }
+  ~ModelLease() {
+    if (held_) p_->pool_->release(lease_);
+  }
   ModelLease(const ModelLease&) = delete;
   ModelLease& operator=(const ModelLease&) = delete;
 
@@ -33,14 +31,6 @@ struct AdaScalePipeline::ModelLease {
     ensure();
     return p_->pool_ != nullptr ? lease_.regressor : p_->regressor_;
   }
-  void drop() {
-    if (held_) {
-      p_->pool_->release(lease_);
-      lease_ = ModelPool::Lease{};
-      held_ = false;
-    }
-  }
-
  private:
   void ensure() {
     if (p_->pool_ != nullptr && !held_) {
@@ -60,7 +50,7 @@ int AdaScalePipeline::capped(int s) const {
 }
 
 AdaFrameOutput AdaScalePipeline::process(const Scene& frame) {
-  if (dff_enabled_) return process_dff(frame, /*backend=*/nullptr);
+  if (dff_enabled_) return process_dff(frame);
 
   AdaFrameOutput out;
   // A cap imposed between frames takes effect here, before the render.
@@ -86,41 +76,11 @@ AdaFrameOutput AdaScalePipeline::process(const Scene& frame) {
   return out;
 }
 
-AdaFrameOutput AdaScalePipeline::process_via(const Scene& frame,
-                                             const DetectBackend& backend) {
-  if (dff_enabled_) return process_dff(frame, &backend);
-
-  AdaFrameOutput out;
-  ctx_.target_scale = capped(ctx_.target_scale);
-  out.scale_used = ctx_.target_scale;
-
-  Tensor image = renderer_->render_at_scale(frame, ctx_.target_scale, policy_);
-  DetectResult r = backend(std::move(image));
-  out.detections = std::move(r.detections);
-  out.detect_ms = r.detect_ms;
-  out.regressed_t = r.regressed_t;
-  out.regressor_ms = r.regressor_ms;
-  out.next_scale =
-      decode_scale_target(out.regressed_t, ctx_.target_scale, sreg_);
-  if (snap_to_set_) out.next_scale = sreg_.nearest(out.next_scale);
-  out.next_scale = capped(out.next_scale);
-  ctx_.target_scale = out.next_scale;
-  return out;
-}
-
 void AdaScalePipeline::set_dff(const DffServingConfig& cfg) {
   cfg.validate();
   dff_ = cfg;
   dff_enabled_ = true;
   ctx_.reset(init_scale_);
-}
-
-void AdaScalePipeline::push_history(const DetectionOutput& out) {
-  const int window = dff_.seqnms_window;
-  if (window <= 0) return;
-  ctx_.history.push_back(out);
-  if (static_cast<int>(ctx_.history.size()) > window)
-    ctx_.history.erase(ctx_.history.begin());
 }
 
 Tensor AdaScalePipeline::flow_gray(const Scene& frame,
@@ -134,46 +94,20 @@ Tensor AdaScalePipeline::flow_gray(const Scene& frame,
   return to_grayscale(*full_render);
 }
 
-void AdaScalePipeline::refresh_key(const Scene& frame, Tensor image,
-                                   const DetectBackend* backend,
+void AdaScalePipeline::refresh_key(const Scene& frame, const Tensor& image,
                                    AdaFrameOutput* out, ModelLease* m) {
   DffStreamState& st = ctx_.dff;
-  const int img_h = image.h(), img_w = image.w();
-  // The grayscale flow source is taken before the image is handed to the
-  // backend; the downsample to feature resolution waits until the feature
-  // dimensions are known.
+  // The downsample of the grayscale flow source to feature resolution
+  // waits until the feature dimensions are known.
   Tensor gray = flow_gray(frame, &image);
 
-  if (backend != nullptr) {
-    // The backend may park this thread in a BatchScheduler queue waiting
-    // for batch-mates; holding a pooled context across that wait could
-    // starve the very streams the batch needs (leader deadlock), so the
-    // lease is released first and re-acquired for the head pass below.
-    m->drop();
-    DetectResult r = (*backend)(std::move(image));
-    if (r.features.size() == 0) {
-      std::fprintf(stderr,
-                   "AdaScalePipeline: DFF key frame served through a backend "
-                   "that returned no features — run the BatchScheduler with "
-                   "features_only (MultiStreamRunner::run_batched does this "
-                   "automatically once set_dff is called)\n");
-      std::abort();
-    }
-    st.key_features = std::move(r.features);
-    out->detect_ms = r.detect_ms;
-    if (dff_.adascale) {
-      out->regressed_t = r.regressed_t;
-      out->regressor_ms = r.regressor_ms;
-    }
-  } else {
-    Timer backbone_timer;
-    const Tensor& features = m->det()->forward(image);
-    out->detect_ms = backbone_timer.elapsed_ms();
-    st.key_features = features;
-    if (dff_.adascale) {
-      out->regressed_t = m->reg()->predict(st.key_features);
-      out->regressor_ms = m->reg()->last_predict_ms();
-    }
+  Timer backbone_timer;
+  const Tensor& features = m->det()->forward(image);
+  out->detect_ms = backbone_timer.elapsed_ms();
+  st.key_features = features;
+  if (dff_.adascale) {
+    out->regressed_t = m->reg()->predict(st.key_features);
+    out->regressor_ms = m->reg()->last_predict_ms();
   }
 
   st.key_gray = Tensor();
@@ -183,14 +117,12 @@ void AdaScalePipeline::refresh_key(const Scene& frame, Tensor image,
   st.acc_flow_y = Tensor();
   st.acc_flow_x = Tensor();
 
-  // Heads + decode run on the stream's own detector in BOTH execution modes
-  // (the cached features, not the backend's decode, are the input) — the
-  // same call sequence as the offline DffPipeline, which is what makes
-  // serving output bit-identical to Harness::run_dff and batched serving
-  // bit-identical to serial regardless of batch composition.
+  // Heads + decode run on the cached features — the same call sequence as
+  // the offline DffPipeline, which is what makes serving output
+  // bit-identical to Harness::run_dff.
   Timer head_timer;
   out->detections =
-      m->det()->detect_from_features(st.key_features, img_h, img_w);
+      m->det()->detect_from_features(st.key_features, image.h(), image.w());
   out->detect_ms += head_timer.elapsed_ms();
 
   if (dff_.adascale) {
@@ -205,8 +137,7 @@ void AdaScalePipeline::refresh_key(const Scene& frame, Tensor image,
   ++st.keys;
 }
 
-AdaFrameOutput AdaScalePipeline::process_dff(const Scene& frame,
-                                             const DetectBackend* backend) {
+AdaFrameOutput AdaScalePipeline::process_dff(const Scene& frame) {
   DffStreamState& st = ctx_.dff;
   AdaFrameOutput out;
   out.dff = true;
@@ -308,7 +239,6 @@ AdaFrameOutput AdaScalePipeline::process_dff(const Scene& frame,
         ++st.frame_index;
         ++st.frames;
         out.next_scale = st.pending_scale;
-        push_history(out.detections);
         return out;
       }
     }
@@ -319,12 +249,12 @@ AdaFrameOutput AdaScalePipeline::process_dff(const Scene& frame,
     out.scale_used = st.current_scale;
   }
 
-  Tensor image = renderer_->render_at_scale(frame, st.current_scale, policy_);
-  refresh_key(frame, std::move(image), backend, &out, &m);
+  const Tensor image =
+      renderer_->render_at_scale(frame, st.current_scale, policy_);
+  refresh_key(frame, image, &out, &m);
   ++st.frame_index;
   ++st.frames;
   out.next_scale = st.pending_scale;
-  push_history(out.detections);
   return out;
 }
 

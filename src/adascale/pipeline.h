@@ -23,7 +23,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 
 #include "adascale/scale_regressor.h"
 #include "adascale/scale_set.h"
@@ -80,13 +79,12 @@ class ModelPool {
 ///
 /// With snap_to_set the decoded target scale is quantized to the nearest
 /// member of `sreg` (ties to the larger, accuracy-conservative scale).
-/// This is the serving-side shape-bucketing knob: concurrent streams can
-/// only share a batched backbone forward when their rendered frames have
-/// identical dimensions, and the raw Algorithm-1 decode produces arbitrary
-/// integer scales that almost never coincide.  Snapping trades a bounded
-/// scale perturbation (≤ half the gap between set members) for dense batch
-/// buckets; it applies identically in serial and batched execution, so the
-/// bit-equality contract between them is unaffected.
+/// This is the serving-side shape-bucketing knob: the raw Algorithm-1
+/// decode produces arbitrary integer scales, so an unsnapped stream keeps
+/// meeting new render shapes, each of which builds (and, under int8,
+/// autotunes) a new execution plan.  Snapping trades a bounded scale
+/// perturbation (≤ half the gap between set members) for a closed set of
+/// |sreg| shapes per model; the overload scale cap snaps onto the same set.
 ///
 /// All cross-frame mutable state lives in one StreamContext (the
 /// per-stream half of the shared-weights / per-stream-state split —
@@ -131,7 +129,7 @@ class AdaScalePipeline {
   /// Overload-degradation seam: caps the target scale at `cap` (0 lifts the
   /// cap).  While capped, the scale this pipeline serves is
   /// sreg.nearest(min(scale, cap)) — snapped onto the scale set so capped
-  /// streams keep landing in shared batch buckets (runtime/
+  /// streams stay on already-planned shapes (runtime/
   /// overload_controller.h walks this knob).  Takes effect from the next
   /// frame (next key frame in DFF mode); lifting it lets Algorithm 1
   /// regress back up naturally.
@@ -150,70 +148,37 @@ class AdaScalePipeline {
   /// frames skip the backbone entirely.
   AdaFrameOutput process(const Scene& frame);
 
-  /// What a detection backend returns for one rendered frame — detections
-  /// plus the regressed relative scale of that frame's deep features.
-  struct DetectResult {
-    DetectionOutput detections;
-    float regressed_t = 0.0f;
-    double detect_ms = 0.0;
-    double regressor_ms = 0.0;
-    /// The frame's deep features (backbone output).  Only populated when
-    /// the backend runs in feature-returning mode (DFF key frames served
-    /// through a BatchScheduler with features_only set); empty otherwise.
-    Tensor features;
-  };
-
-  /// Pluggable detection backend: receives the frame rendered at the
-  /// current target scale, returns detections + regressed t.  This is how
-  /// the runtime layer routes frames through a cross-stream BatchScheduler
-  /// without the pipeline depending on it; results must match what the
-  /// pipeline's own detector/regressor would produce for the scale
-  /// trajectory to stay bit-identical to process().
-  using DetectBackend = std::function<DetectResult(Tensor image)>;
-
-  /// process(), but detection runs through `backend` instead of the owned
-  /// detector/regressor.  Scale state updates identically.  In DFF mode
-  /// only key frames reach the backend (which must return features —
-  /// BatchSchedulerConfig::features_only); warp frames never leave the
-  /// stream: flow, warp, and heads all run on the stream's own models.
-  AdaFrameOutput process_via(const Scene& frame, const DetectBackend& backend);
-
   /// Routes all model access through `pool` from the next frame on (null
-  /// unbinds, restoring the constructor-supplied models).  Leases are
-  /// acquired lazily per frame at the first model touch and released before
-  /// any blocking backend call, so a pipeline never holds a pooled context
-  /// while parked in a BatchScheduler queue.  The constructor-supplied
-  /// detector/regressor are untouched while a pool is bound — they can be
-  /// the master weight copies the pool's contexts alias.
+  /// unbinds, restoring the constructor-supplied models).  A lease is
+  /// acquired lazily at the frame's first model touch and released when the
+  /// frame returns, so flow-only warp frames never hold a context.  The
+  /// constructor-supplied detector/regressor are untouched while a pool is
+  /// bound — they can be the master weight copies the pool's contexts
+  /// alias.
   void bind_pool(ModelPool* pool) { pool_ = pool; }
   ModelPool* pool() const { return pool_; }
 
  private:
   /// One frame's scoped model access; defined in pipeline.cpp.  Lazily
   /// acquires from pool_ (or passes through to the owned models) and
-  /// releases on destruction or explicitly around blocking calls.
+  /// releases on destruction.
   struct ModelLease;
 
-  /// The keyframe/warp branch shared by process() / process_via().
-  /// `backend` is null for owned-model execution.
-  AdaFrameOutput process_dff(const Scene& frame, const DetectBackend* backend);
+  /// The keyframe/warp branch of process().
+  AdaFrameOutput process_dff(const Scene& frame);
 
-  /// Runs the full backbone on `image` (leased detector or backend), caches
-  /// key features + grayscale into the context, detects on the cached
+  /// Runs the full backbone on `image` (leased detector), caches key
+  /// features + grayscale into the context, detects on the cached
   /// features, and (when dff_.adascale) regresses the next key's scale.
   /// `frame` supplies the grayscale flow source (tiny render).
-  void refresh_key(const Scene& frame, Tensor image,
-                   const DetectBackend* backend, AdaFrameOutput* out,
-                   ModelLease* m);
+  void refresh_key(const Scene& frame, const Tensor& image,
+                   AdaFrameOutput* out, ModelLease* m);
 
   /// Grayscale flow source for `frame`: a tiny dedicated render
   /// (dff_.flow_render_scale > 0) or the given full-scale render (legacy;
   /// `full_render` may be null in tiny mode).  Same convention as
   /// DffPipeline::flow_gray — callers resize to the feature grid.
   Tensor flow_gray(const Scene& frame, const Tensor* full_render) const;
-
-  /// Bounded per-stream detection history (seq-NMS seam).
-  void push_history(const DetectionOutput& out);
 
   /// `s` clamped under the overload scale cap (identity when uncapped).
   int capped(int s) const;

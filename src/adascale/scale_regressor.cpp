@@ -80,7 +80,7 @@ void ScaleRegressor::forward(const Tensor& features) {
   const int total = static_cast<int>(streams_.size()) * sc;
   const int batch = features.n();
   if (concat_.n() != batch || concat_.c() != total)
-    concat_ = Tensor(batch, total, 1, 1);
+    concat_.resize(batch, total, 1, 1);
   PlanCursor pc(nullptr);
   const bool planned = use_plans_;
   if (planned) {
@@ -113,8 +113,7 @@ float ScaleRegressor::predict(const Tensor& features) {
   // return only image 0's t — fail loudly (asserts vanish in Release).
   if (features.n() != 1) {
     std::fprintf(stderr,
-                 "ScaleRegressor::predict requires a single image, got %s — "
-                 "use predict_batch\n",
+                 "ScaleRegressor::predict requires a single image, got %s\n",
                  features.shape_str().c_str());
     std::abort();
   }
@@ -122,18 +121,6 @@ float ScaleRegressor::predict(const Tensor& features) {
   forward(features);
   last_predict_ms_ = timer.elapsed_ms();
   return fc_out_.at(0, 0, 0, 0);
-}
-
-std::vector<float> ScaleRegressor::predict_batch(const Tensor& features) {
-  Timer timer;
-  forward(features);
-  const int batch = features.n();
-  last_predict_ms_ =
-      timer.elapsed_ms() / static_cast<double>(std::max(batch, 1));
-  std::vector<float> out(static_cast<std::size_t>(batch));
-  for (int n = 0; n < batch; ++n)
-    out[static_cast<std::size_t>(n)] = fc_out_.at(n, 0, 0, 0);
-  return out;
 }
 
 void ScaleRegressor::quantize(

@@ -46,17 +46,10 @@ class ScaleRegressor {
   /// (features.n() must be 1).
   float predict(const Tensor& features);
 
-  /// Batched prediction over an (N,C,fh,fw) feature map (e.g. the detector's
-  /// features() after detect_batch): each conv stream and the FC head run
-  /// once for the whole batch.  Element i is bit-identical to
-  /// predict(features.image(i)); last_predict_ms() reports the batch
-  /// wall-clock amortized per image.
-  std::vector<float> predict_batch(const Tensor& features);
-
   /// Post-training quantization over calibration feature maps (the
   /// detector's deep features for representative frames): observes each
   /// stream conv's and the FC head's input range, then freezes INT8 state.
-  /// predict()/predict_batch() run INT8 whenever ADASCALE_GEMM=int8; see
+  /// predict() runs INT8 whenever ADASCALE_GEMM=int8; see
   /// Detector::quantize for the contract.
   void quantize(const std::vector<Tensor>& calibration_features);
 

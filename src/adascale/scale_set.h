@@ -32,7 +32,7 @@ struct ScaleSet {
 
   /// Nearest member to `s`; ties resolve to the larger scale (accuracy-
   /// conservative).  Serving uses this to quantize regressed target scales
-  /// onto the set so concurrent streams land in shared batch buckets.
+  /// onto the set, so streams render a closed set of shapes.
   int nearest(int s) const {
     assert(!scales.empty());
     int best = scales.front();

@@ -7,7 +7,6 @@
 
 #include "detection/nms.h"
 #include "runtime/scratch.h"
-#include "runtime/thread_pool.h"
 #include "tensor/loss.h"
 #include "util/timer.h"
 
@@ -139,26 +138,7 @@ DetectionOutput Detector::detect(const Tensor& image) {
   return out;
 }
 
-std::vector<DetectionOutput> Detector::detect_batch(const Tensor& images) {
-  Timer timer;
-  forward(images);
-  const std::vector<Box> anchors =
-      generate_anchors(cfg_.anchors, heads_.cls.h(), heads_.cls.w());
-  std::vector<DetectionOutput> outs(static_cast<std::size_t>(images.n()));
-  // Per-image decode + NMS own disjoint output slots; NMS's own per-class
-  // parallel_for nests inline, so the split stays deterministic.
-  parallel_for(images.n(), 1, [&](std::int64_t nb, std::int64_t ne) {
-    for (std::int64_t n = nb; n < ne; ++n)
-      outs[static_cast<std::size_t>(n)] =
-          decode_image(static_cast<int>(n), images.h(), images.w(), anchors);
-  });
-  const double amortized_ms =
-      timer.elapsed_ms() / static_cast<double>(std::max(images.n(), 1));
-  for (DetectionOutput& out : outs) out.forward_ms = amortized_ms;
-  return outs;
-}
-
-DetectionOutput Detector::decode_image(int n, int image_h, int image_w,
+DetectionOutput Detector::decode_image(int image_h, int image_w,
                                        const std::vector<Box>& anchors) const {
   const Tensor& cls = heads_.cls;
   const Tensor& reg = heads_.reg;
@@ -172,7 +152,7 @@ DetectionOutput Detector::decode_image(int n, int image_h, int image_w,
   std::vector<float> probs(static_cast<std::size_t>(kp1));
   for (int cell = 0; cell < fh * fw; ++cell) {
     for (int a = 0; a < per_cell; ++a) {
-      anchor_logits(cls, n, cell, a, logits.data());
+      anchor_logits(cls, 0, cell, a, logits.data());
       softmax_span(logits.data(), kp1, probs.data());
       int best_c = 0;
       float best_p = 0.0f;
@@ -185,7 +165,7 @@ DetectionOutput Detector::decode_image(int n, int image_h, int image_w,
 
       const int i = cell / fw, j = cell % fw;
       std::array<float, 4> delta;
-      for (int d = 0; d < 4; ++d) delta[static_cast<std::size_t>(d)] = reg.at(n, a * 4 + d, i, j);
+      for (int d = 0; d < 4; ++d) delta[static_cast<std::size_t>(d)] = reg.at(0, a * 4 + d, i, j);
       const Box& anchor = anchors[static_cast<std::size_t>(cell * per_cell + a)];
       Box box = clip_box(decode_box(delta, anchor), image_h, image_w);
       if (box.width() < 1.0f || box.height() < 1.0f) continue;
@@ -226,7 +206,7 @@ DetectionOutput Detector::detect_from_features(const Tensor& features,
   }
   const std::vector<Box> anchors =
       generate_anchors(cfg_.anchors, heads_.cls.h(), heads_.cls.w());
-  DetectionOutput out = decode_image(0, image_h, image_w, anchors);
+  DetectionOutput out = decode_image(image_h, image_w, anchors);
   out.forward_ms = timer.elapsed_ms();
   return out;
 }

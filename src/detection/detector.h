@@ -82,16 +82,6 @@ class Detector {
   /// Full inference: forward, decode, NMS, top-K.
   DetectionOutput detect(const Tensor& image);
 
-  /// Batched inference over an (N,3,H,W) tensor of frames rendered at the
-  /// same scale.  The backbone and heads run ONCE for the whole batch — one
-  /// sgemm per conv layer with the images concatenated along the GEMM N axis
-  /// — and the per-image decode/NMS work fans out over parallel_for.
-  /// Element i is bit-identical to detect(images.image(i)); forward_ms on
-  /// each output is the batch wall-clock amortized per image.  After the
-  /// call features() holds the batched (N,C,fh,fw) deep-feature map (input
-  /// to ScaleRegressor::predict_batch).
-  std::vector<DetectionOutput> detect_batch(const Tensor& images);
-
   /// Inference reusing an externally produced feature map (the DFF path:
   /// features warped from a key frame instead of computed by the backbone).
   DetectionOutput detect_from_features(const Tensor& features, int image_h,
@@ -101,7 +91,7 @@ class Detector {
   /// image with activation-range observation on, then freezes INT8 state
   /// (per-output-channel s8 weights + per-tensor u8 activation qparams,
   /// tensor/qgemm.h) into every backbone conv and both heads.  After this,
-  /// detect()/detect_batch() run fully INT8 whenever ADASCALE_GEMM=int8;
+  /// detect() runs fully INT8 whenever ADASCALE_GEMM=int8;
   /// other backends and training keep using the fp32 weights (which stay
   /// authoritative — re-quantize after further training).
   void quantize(const std::vector<Tensor>& calibration_images);
@@ -148,8 +138,8 @@ class Detector {
   /// Copies `src`'s quantization state (calibrated activation ranges) onto
   /// this detector's structurally identical layers and re-freezes INT8
   /// weights from this detector's (already copied) fp32 parameters.  Used
-  /// by clone_detector so MultiStreamRunner streams and BatchScheduler
-  /// contexts serve INT8 exactly like the original.
+  /// by clone_detector so the stream table's serving contexts serve INT8
+  /// exactly like the original.
   void quantize_like(Detector* src);
 
   /// One SGD step on a single image; returns the Eq. (1) loss value.
@@ -203,10 +193,9 @@ class Detector {
   void anchor_logits(const Tensor& cls, int n, int cell, int a,
                      float* out) const;
 
-  /// Decodes image `n` of the current head outputs: candidates above the
-  /// score threshold, per-class NMS, top-K.  Shared by the single-image and
-  /// batched paths so they cannot drift.
-  DetectionOutput decode_image(int n, int image_h, int image_w,
+  /// Decodes the current head outputs: candidates above the score
+  /// threshold, per-class NMS, top-K.
+  DetectionOutput decode_image(int image_h, int image_w,
                                const std::vector<Box>& anchors) const;
 
   void invalidate_plans() { plans_->clear(); }
@@ -227,9 +216,8 @@ class Detector {
 };
 
 /// Deep-copies a detector: same architecture/config, parameter values copied
-/// from `src`.  Every concurrent user (MultiStreamRunner stream,
-/// BatchScheduler context) needs its own copy because Detector caches
-/// activations between forward and detect.
+/// from `src`.  Every concurrent user needs its own copy because Detector
+/// caches activations between forward and detect.
 std::unique_ptr<Detector> clone_detector(Detector* src);
 
 /// Clones a detector for pooled serving: per-instance state (activation

@@ -1,7 +1,6 @@
 #include "runtime/multi_stream.h"
 
 #include <algorithm>
-#include <cassert>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -79,60 +78,10 @@ void MultiStreamRunner::set_stream_policy(
 
 void MultiStreamRunner::set_dff(const DffServingConfig& cfg) {
   for (const auto& s : streams_) s->pipeline->set_dff(cfg);
-  dff_enabled_ = true;
 }
 
 void MultiStreamRunner::set_scale_cap(int cap) {
   for (const auto& s : streams_) s->pipeline->set_scale_cap(cap);
-}
-
-MultiStreamResult MultiStreamRunner::run_impl(
-    const std::vector<const Snippet*>& jobs, BatchScheduler* scheduler) {
-  MultiStreamResult result;
-  result.streams.resize(streams_.size());
-  result.batched = true;
-
-  auto stream_main = [&](int sid) {
-    Stream& stream = *streams_[static_cast<std::size_t>(sid)];
-    StreamOutput& out = result.streams[static_cast<std::size_t>(sid)];
-    out.stream_id = sid;
-    AdaScalePipeline::DetectBackend backend = [scheduler](Tensor image) {
-      BatchSubmitResult r = scheduler->submit(image);
-      AdaScalePipeline::DetectResult d;
-      d.detections = std::move(r.detections);
-      d.regressed_t = r.regressed_t;
-      d.detect_ms = r.detect_ms;
-      d.regressor_ms = r.regressor_ms;
-      d.features = std::move(r.features);
-      return d;
-    };
-    scheduler->attach();
-    Timer busy;
-    for (std::size_t j = static_cast<std::size_t>(sid); j < jobs.size();
-         j += streams_.size()) {
-      stream.pipeline->reset();
-      for (const Scene& frame : jobs[j]->frames)
-        out.frames.push_back(stream.pipeline->process_via(frame, backend));
-    }
-    out.busy_ms = busy.elapsed_ms();
-    scheduler->detach();
-  };
-
-  Timer wall;
-  std::vector<std::thread> threads;
-  threads.reserve(streams_.size());
-  for (int s = 0; s < num_streams(); ++s) threads.emplace_back(stream_main, s);
-  for (std::thread& t : threads) t.join();
-  result.wall_ms = wall.elapsed_ms();
-
-  for (const StreamOutput& s : result.streams)
-    result.total_frames += static_cast<long>(s.frames.size());
-  result.aggregate_fps = result.wall_ms > 0.0
-                             ? 1000.0 * static_cast<double>(result.total_frames)
-                                   / result.wall_ms
-                             : 0.0;
-  result.batch_stats = scheduler->stats();
-  return result;
 }
 
 MultiStreamResult MultiStreamRunner::run_table(
@@ -243,39 +192,6 @@ MultiStreamResult MultiStreamRunner::run_serial(
   StreamTableConfig cfg;
   cfg.workers = 1;
   return run_table(jobs, cfg);
-}
-
-MultiStreamResult MultiStreamRunner::run_batched(
-    const std::vector<const Snippet*>& jobs, const BatchSchedulerConfig& cfg) {
-  // The scheduler's contexts are built from stream 0's policy pool, whose
-  // contexts alias the same master weights as every other pool — any batch
-  // composition therefore produces the same bits as per-stream execution.
-  // That only holds when every stream resolves the same policies as stream
-  // 0; heterogeneous per-stream policies (set_stream_policy) would be
-  // served silently at stream 0's precision, so fail loudly instead.
-  for (const auto& s : streams_) {
-    if (s->det_policy.resolve() != streams_[0]->det_policy.resolve() ||
-        s->reg_policy.resolve() != streams_[0]->reg_policy.resolve()) {
-      std::fprintf(stderr,
-                   "MultiStreamRunner::run_batched: streams have "
-                   "heterogeneous execution policies — batching shares "
-                   "contexts cloned from stream 0's pool and cannot honor "
-                   "them; use run()/run_table() for mixed-policy streams\n");
-      std::abort();
-    }
-  }
-  // DFF key frames want features back (heads run in-stream on the cached
-  // copy); warp frames never reach the scheduler at all.
-  BatchSchedulerConfig scfg = cfg;
-  if (dff_enabled_) scfg.features_only = true;
-  // Scheduler contexts join the shared-weights regime: cloned (weight-
-  // aliased) from a stream-0-policy pool context, so batching adds scratch
-  // state but no resident weight bytes.
-  scfg.share_context_weights = true;
-  ContextPool* pool =
-      table_->pool_for(streams_[0]->det_policy, streams_[0]->reg_policy);
-  BatchScheduler scheduler(pool->detector_at(0), pool->regressor_at(0), scfg);
-  return run_impl(jobs, &scheduler);
 }
 
 void TimedRunConfig::validate() const {

@@ -12,9 +12,8 @@
 // master weight copy, leased per frame by a small pool of weight-aliased
 // contexts.  run()/run_serial()/run_table() drain the table with a worker
 // pool that dispatches one ready stream at a time; run_timed() drives the
-// same entries from a virtual-time event loop; run_batched() routes frames
-// through a cross-stream BatchScheduler.  1k+ streams therefore cost 1k
-// contexts-worth of kilobyte state, not 1k model clones.
+// same entries from a virtual-time event loop.  1k+ streams therefore cost
+// 1k contexts-worth of kilobyte state, not 1k model clones.
 //
 // Job assignment is static round-robin (stream s takes jobs s, s+N, ...), so
 // per-stream outputs are bit-identical to running the same jobs serially —
@@ -28,7 +27,6 @@
 #include "adascale/pipeline.h"
 #include "data/video.h"
 #include "runtime/admission.h"
-#include "runtime/batch_scheduler.h"
 #include "runtime/fault_injection.h"
 #include "runtime/overload_controller.h"
 #include "runtime/stream_table.h"
@@ -50,8 +48,6 @@ struct MultiStreamResult {
   double wall_ms = 0.0;               ///< end-to-end wall-clock of the run
   long total_frames = 0;
   double aggregate_fps = 0.0;         ///< total_frames / wall_ms
-  bool batched = false;               ///< produced by run_batched()
-  BatchSchedulerStats batch_stats;    ///< meaningful when batched
 };
 
 /// Why a frame never produced output (TimedFrameRecord::drop_reason).
@@ -148,9 +144,7 @@ class MultiStreamRunner {
   /// ModelTable).  `renderer` is stateless and shared by all streams.
   /// With snap_scales each pipeline quantizes its target scale to the
   /// nearest member of `sreg` (see AdaScalePipeline) — in every execution
-  /// mode, so run(), run_serial() and run_batched() always process
-  /// identical work; dense scale buckets are what lets run_batched()
-  /// actually form batches.
+  /// mode, so every run processes identical work.
   MultiStreamRunner(Detector* prototype_detector,
                     ScaleRegressor* prototype_regressor,
                     const Renderer* renderer, const ScalePolicy& policy,
@@ -174,26 +168,15 @@ class MultiStreamRunner {
   /// with no shared backend state to race on.  A stream's policy pair
   /// selects which ModelTable context pool its frames lease from (pools
   /// are built on first use; the weights underneath stay one shared copy).
-  /// By default every stream uses the prototypes' policies.  run(),
-  /// run_serial(), run_table() and run_timed() honor per-stream policies;
-  /// run_batched() coalesces frames from *different* streams onto shared
-  /// contexts, so it requires all streams to resolve identical policies
-  /// and aborts loudly otherwise (per-model mixed precision — int8
-  /// detector + fp32 regressor — is fine: it rides the models, not the
-  /// streams).  Setup-time only: must not race a running table.
+  /// By default every stream uses the prototypes' policies; every run
+  /// honors per-stream policies.  Setup-time only: must not race a
+  /// running table.
   void set_stream_policy(int stream, const ExecutionPolicy& detector_policy,
                          const ExecutionPolicy& regressor_policy);
 
   /// Enables DFF temporal reuse (keyframe/warp serving) on every stream's
-  /// pipeline and resets their per-stream contexts.  Applies to all three
-  /// execution modes; under run_batched() the scheduler automatically runs
-  /// in features_only mode — key frames join cross-stream same-scale
-  /// batches, warp frames never reach the scheduler (flow + warp + heads
-  /// run on the stream's own models, no backbone at all).
+  /// pipeline and resets their per-stream contexts.  Applies to every run.
   void set_dff(const DffServingConfig& cfg);
-
-  /// Whether set_dff has been called.
-  bool dff_enabled() const { return dff_enabled_; }
 
   /// Caps every stream's target scale at `cap` (0 lifts the cap) — the
   /// overload controller's first degradation rung, fanned out to each
@@ -222,18 +205,6 @@ class MultiStreamRunner {
   /// per-stream outputs to run().
   MultiStreamResult run_serial(const std::vector<const Snippet*>& jobs);
 
-  /// Same jobs and static round-robin assignment, but every stream routes
-  /// its per-frame detection through a shared BatchScheduler: frames from
-  /// different streams that currently target the same scale share ONE
-  /// backbone forward (one sgemm per layer for the whole batch).  Because
-  /// the batched kernels are bit-identical to the single-image ones,
-  /// per-stream outputs are memcmp-equal to run()/run_serial() no matter
-  /// how frames happened to batch; timing fields (detect_ms/regressor_ms)
-  /// are amortized per frame.  Scheduler counters land in
-  /// MultiStreamResult::batch_stats.
-  MultiStreamResult run_batched(const std::vector<const Snippet*>& jobs,
-                                const BatchSchedulerConfig& cfg = {});
-
   /// Arrival-driven serving in virtual time: frames *arrive* on per-stream
   /// schedules (runtime/admission.h) instead of being pulled as fast as the
   /// hardware allows, pass through bounded deadline-stamped queues, and are
@@ -258,17 +229,9 @@ class MultiStreamRunner {
 
  private:
   struct Stream;
-  /// Thread-per-stream orchestration, kept ONLY for run_batched: the
-  /// scheduler's leader election needs every live stream blocked inside
-  /// submit() for its all-blocked flush trigger, which a one-frame-at-a-
-  /// time table worker cannot provide.  Frames route through the scheduler
-  /// via process_via.
-  MultiStreamResult run_impl(const std::vector<const Snippet*>& jobs,
-                             BatchScheduler* scheduler);
 
   std::vector<std::unique_ptr<Stream>> streams_;
   std::unique_ptr<ModelTable> table_;  ///< shared weights + context pools
-  bool dff_enabled_ = false;
 };
 
 }  // namespace ada

@@ -10,8 +10,8 @@
 //   kNormal      — serve as configured.
 //   kScaleCap    — cap every stream's AdaScale target scale at
 //                  `scale_cap` (snapped onto the regressor scale set via
-//                  ScaleSet::nearest, so capped streams still land in
-//                  shared batch buckets).  Cuts per-frame cost roughly
+//                  ScaleSet::nearest, so capped streams stay on
+//                  already-planned shapes).  Cuts per-frame cost roughly
 //                  quadratically in scale for a bounded, measured mAP
 //                  cost — the cheapest capacity the system can buy.
 //   kPolicySwitch— additionally switch stream execution policies to the

@@ -4,29 +4,26 @@
 // Serving at thousands-of-streams scale needs model state cut in two:
 //
 //   * shared, immutable after load: weights, quantization tables, execution
-//     policies and cached ExecutionPlans.  One copy per policy, reused by
-//     every stream (today via clone_detector/clone_regressor onto streams
-//     and BatchScheduler contexts; the planned stream-state-table server
-//     will share a single copy outright).
+//     policies and cached ExecutionPlans.  One master copy, aliased by
+//     every leased serving context of the stream table
+//     (runtime/stream_table.h).
 //
 //   * per-stream, tiny, mutable: everything a stream's past frames imprint
 //     on its future ones.  That is this struct — the Algorithm-1 target
-//     scale, the DFF temporal-reuse cache (key-frame deep features + the
-//     grayscale key at feature resolution), and the rolling detection
-//     history reserved for online seq-NMS.
+//     scale and the DFF temporal-reuse cache (key-frame deep features + the
+//     grayscale key at feature resolution).
 //
 // AdaScalePipeline owns exactly one StreamContext; MultiStreamRunner holds
-// one pipeline (hence one context) per stream; BatchScheduler contexts hold
-// NO StreamContext — they are pure compute resources (model clones), which
-// is what makes any batch composition bit-identical to serial execution.
+// one pipeline (hence one context) per stream; the table's leased contexts
+// hold NO StreamContext — they are pure compute resources (model clones),
+// which is what makes any lease assignment bit-identical to serial
+// execution.
 #pragma once
 
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <vector>
 
-#include "detection/detector.h"
 #include "tensor/tensor.h"
 #include "video/optical_flow.h"
 
@@ -94,11 +91,6 @@ struct DffServingConfig {
   /// matching key->current directly (see DffConfig::incremental_flow).
   bool incremental_flow = true;
 
-  /// Frames of per-stream detection history retained in
-  /// StreamContext::history (0 = keep none).  Reserved seam for online
-  /// seq-NMS; nothing consumes the history yet.
-  int seqnms_window = 0;
-
   /// Aborts loudly on nonsensical values instead of silently clamping or
   /// misbehaving (called by AdaScalePipeline::set_dff).
   void validate() const {
@@ -112,7 +104,6 @@ struct DffServingConfig {
       fail("residual_threshold must be finite and >= 0");
     if (!(scale_jump_frac >= 0.0f) || !std::isfinite(scale_jump_frac))
       fail("scale_jump_frac must be finite and >= 0 (0 disables)");
-    if (seqnms_window < 0) fail("seqnms_window must be >= 0");
     // flow_render_scale <= 0 is meaningful (legacy full-res flow source).
   }
 };
@@ -137,18 +128,14 @@ struct DffStreamState {
 struct StreamContext {
   int target_scale = 600;  ///< Algorithm-1 scale state (non-DFF mode)
   DffStreamState dff;
-  /// Rolling window of recent frame detections (seq-NMS seam; bounded by
-  /// DffServingConfig::seqnms_window).
-  std::vector<DetectionOutput> history;
 
-  /// Snippet-boundary reset: Algorithm 1 restarts at `init_scale`, the DFF
-  /// cache drops (next frame is a key frame), history clears.
+  /// Snippet-boundary reset: Algorithm 1 restarts at `init_scale` and the
+  /// DFF cache drops (next frame is a key frame).
   void reset(int init_scale) {
     target_scale = init_scale;
     dff = DffStreamState{};
     dff.current_scale = init_scale;
     dff.pending_scale = init_scale;
-    history.clear();
   }
 };
 

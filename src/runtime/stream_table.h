@@ -1,6 +1,6 @@
 // Stream-state table: many streams, few models.
 //
-// The thread-per-stream runner couples two things that scale differently —
+// A thread-per-stream runner couples two things that scale differently —
 // per-stream STATE (a StreamContext plus an arrival queue: kilobytes) and
 // per-stream COMPUTE (a detector/regressor pair: megabytes, and a thread).
 // At 1k+ streams the coupling is fatal: 1k model clones do not fit in
@@ -111,8 +111,8 @@ class ModelTable {
   ContextPool* pool_for(const ExecutionPolicy& detector_policy,
                         const ExecutionPolicy& regressor_policy);
 
-  /// The master copies (prototype-equivalent; used to build schedulers and
-  /// as the pipelines' constructor models — untouched while pools serve).
+  /// The master copies (prototype-equivalent; the pipelines' constructor
+  /// models — untouched while pools serve).
   Detector* master_detector() { return master_det_.get(); }
   ScaleRegressor* master_regressor() { return master_reg_.get(); }
 

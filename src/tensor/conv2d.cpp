@@ -100,7 +100,7 @@ void conv2d_forward(const ConvSpec& spec, const Tensor& x, const Tensor& w,
   assert(oh > 0 && ow > 0);
   if (y->n() != x.n() || y->c() != spec.out_channels || y->h() != oh ||
       y->w() != ow)
-    *y = Tensor(x.n(), spec.out_channels, oh, ow);
+    y->resize(x.n(), spec.out_channels, oh, ow);
 
   const int patch = spec.in_channels * spec.kernel * spec.kernel;
   const int cells = oh * ow;
@@ -167,7 +167,7 @@ void conv2d_forward_int8(const ConvSpec& spec, const Tensor& x,
   assert(oh > 0 && ow > 0);
   if (y->n() != x.n() || y->c() != spec.out_channels || y->h() != oh ||
       y->w() != ow)
-    *y = Tensor(x.n(), spec.out_channels, oh, ow);
+    y->resize(x.n(), spec.out_channels, oh, ow);
 
   const int patch = spec.in_channels * spec.kernel * spec.kernel;
   const int cells = oh * ow;
@@ -189,7 +189,7 @@ void conv2d_forward_int8(const ConvSpec& spec, const Tensor& x,
 
   // Batch: images side by side along the GEMM N axis, then the oc-major
   // product scattered back to NCHW — identical structure to the fp32
-  // batched path, so the batch scheduler composes with INT8 unchanged.
+  // batched path.
   const std::size_t total = static_cast<std::size_t>(batch) * cells;
   float* cols = frame.alloc(static_cast<std::size_t>(patch) * total);
   parallel_for(batch, 1, [&](std::int64_t nb, std::int64_t ne) {

@@ -31,7 +31,7 @@ void bilinear_resize(const Tensor& src, int out_h, int out_w, Tensor* dst) {
   assert(src.n() == 1 && out_h > 0 && out_w > 0);
   if (dst->n() != 1 || dst->c() != src.c() || dst->h() != out_h ||
       dst->w() != out_w)
-    *dst = Tensor(1, src.c(), out_h, out_w);
+    dst->resize(1, src.c(), out_h, out_w);
   if (src.h() == out_h && src.w() == out_w) {
     std::copy(src.data(), src.data() + src.size(), dst->data());
     return;
@@ -50,7 +50,7 @@ void bilinear_resize(const Tensor& src, int out_h, int out_w, Tensor* dst) {
 
 void flip_horizontal(const Tensor& src, Tensor* dst) {
   assert(src.n() == 1);
-  if (!dst->same_shape(src)) *dst = Tensor(1, src.c(), src.h(), src.w());
+  if (!dst->same_shape(src)) dst->resize(1, src.c(), src.h(), src.w());
   const int w = src.w();
   for (int c = 0; c < src.c(); ++c)
     for (int i = 0; i < src.h(); ++i)
@@ -63,7 +63,7 @@ void bilinear_warp(const Tensor& src, const Tensor& flow_y,
   assert(src.n() == 1);
   assert(flow_y.h() == src.h() && flow_y.w() == src.w());
   assert(flow_x.h() == src.h() && flow_x.w() == src.w());
-  if (!dst->same_shape(src)) *dst = Tensor(1, src.c(), src.h(), src.w());
+  if (!dst->same_shape(src)) dst->resize(1, src.c(), src.h(), src.w());
   for (int c = 0; c < src.c(); ++c)
     for (int i = 0; i < src.h(); ++i)
       for (int j = 0; j < src.w(); ++j) {

@@ -15,7 +15,7 @@ void linear_forward(const Tensor& x, const Tensor& w, const Tensor& b,
   const int out = w.n();
   assert(w.c() == in);
   if (y->n() != x.n() || y->c() != out || y->h() != 1 || y->w() != 1)
-    *y = Tensor(x.n(), out, 1, 1);
+    y->resize(x.n(), out, 1, 1);
   // y = x * W^T + b: W is (out, in) row-major, read transposed via strides;
   // the bias varies along the output (column) axis of the product.
   GemmEpilogue epi;
@@ -32,7 +32,7 @@ void linear_forward_int8(const Tensor& x, const QuantizedWeights& qw,
   const int batch = x.n();
   assert(qw.cols == in);
   if (y->n() != batch || y->c() != out || y->h() != 1 || y->w() != 1)
-    *y = Tensor(batch, out, 1, 1);
+    y->resize(batch, out, 1, 1);
   // y^T = Wq * x^T: x is (batch, in) row-major, so element (k, j) of the
   // K x N operand lives at x[j * in + k] — a stride view, no materialized
   // transpose.  The bias rides the GEMM row (output-channel) axis.

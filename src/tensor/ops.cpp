@@ -28,7 +28,7 @@ void axpy(float alpha, const Tensor& x, Tensor* y) {
 }
 
 void relu_forward(const Tensor& x, Tensor* y) {
-  if (!x.same_shape(*y)) *y = Tensor(x.n(), x.c(), x.h(), x.w());
+  if (!x.same_shape(*y)) y->resize(x.n(), x.c(), x.h(), x.w());
   const float* xs = x.data();
   float* ys = y->data();
   parallel_for(static_cast<std::int64_t>(x.size()), kElementwiseGrain,
@@ -60,7 +60,7 @@ void scale(Tensor* x, float alpha) {
 
 void global_avg_pool_forward(const Tensor& x, Tensor* y) {
   if (y->n() != x.n() || y->c() != x.c() || y->h() != 1 || y->w() != 1)
-    *y = Tensor(x.n(), x.c(), 1, 1);
+    y->resize(x.n(), x.c(), 1, 1);
   const float inv = 1.0f / static_cast<float>(x.h() * x.w());
   for (int n = 0; n < x.n(); ++n)
     for (int c = 0; c < x.c(); ++c) {
@@ -89,7 +89,7 @@ void maxpool2_forward(const Tensor& x, Tensor* y, std::vector<int>* argmax) {
   const int oh = x.h() / 2;
   const int ow = x.w() / 2;
   if (y->n() != x.n() || y->c() != x.c() || y->h() != oh || y->w() != ow)
-    *y = Tensor(x.n(), x.c(), oh, ow);
+    y->resize(x.n(), x.c(), oh, ow);
   argmax->assign(y->size(), 0);
   std::size_t oidx = 0;
   for (int n = 0; n < x.n(); ++n)
@@ -121,7 +121,7 @@ void maxpool2_backward(const Tensor& dy, const std::vector<int>& argmax,
 }
 
 void softmax_rows(const Tensor& x, Tensor* y) {
-  if (!x.same_shape(*y)) *y = Tensor(x.n(), x.c(), x.h(), x.w());
+  if (!x.same_shape(*y)) y->resize(x.n(), x.c(), x.h(), x.w());
   assert(x.h() == 1 && x.w() == 1);
   for (int n = 0; n < x.n(); ++n) {
     float mx = -1e30f;

@@ -67,8 +67,6 @@ class Tensor {
   static Tensor vec(int len) { return Tensor(1, len, 1, 1); }
 
   /// Stacks same-shaped (1,C,H,W) images into one (N,C,H,W) batch tensor.
-  /// This is how the batch scheduler coalesces frames that target the same
-  /// scale into a single backbone forward.
   static Tensor batch_of(const std::vector<const Tensor*>& images);
 
   /// Copy of image `n` as a (1,C,H,W) tensor (batch → single-image).
@@ -110,6 +108,17 @@ class Tensor {
 
   /// Sets every element to v.
   void fill(float v) { std::fill(data_.begin(), data_.end(), v); }
+
+  /// Makes this an n×c×h×w tensor of zeros, like `*this = Tensor(n, c, h,
+  /// w)`, but keeps the current allocation when it is large enough.  The
+  /// inference path sizes its outputs with this, so a buffer re-sized at
+  /// every scale change settles at its largest size instead of going back
+  /// to the heap (and fragmenting it) each time.
+  void resize(int n, int c, int h, int w) {
+    assert(n >= 0 && c >= 0 && h >= 0 && w >= 0);
+    data_.assign(static_cast<std::size_t>(n) * c * h * w, 0.0f);
+    n_ = n; c_ = c; h_ = h; w_ = w;
+  }
 
   /// Reinterprets the tensor with a new shape of equal element count.
   void reshape(int n, int c, int h, int w) {

@@ -54,8 +54,8 @@ void block_matching_flow(const Tensor& ref, const Tensor& cur,
                          Tensor* flow_x) {
   assert(ref.h() == cur.h() && ref.w() == cur.w());
   const int h = cur.h(), w = cur.w();
-  if (flow_y->h() != h || flow_y->w() != w) *flow_y = Tensor(1, 1, h, w);
-  if (flow_x->h() != h || flow_x->w() != w) *flow_x = Tensor(1, 1, h, w);
+  if (flow_y->h() != h || flow_y->w() != w) flow_y->resize(1, 1, h, w);
+  if (flow_x->h() != h || flow_x->w() != w) flow_x->resize(1, 1, h, w);
 
   const int r = cfg.search_radius;
   const int pr = cfg.patch_radius;
@@ -114,8 +114,8 @@ void compose_flow(const Tensor& acc_y, const Tensor& acc_x,
                   Tensor* out_x) {
   assert(acc_y.h() == step_y.h() && acc_y.w() == step_y.w());
   const int h = step_y.h(), w = step_y.w();
-  if (out_y->h() != h || out_y->w() != w) *out_y = Tensor(1, 1, h, w);
-  if (out_x->h() != h || out_x->w() != w) *out_x = Tensor(1, 1, h, w);
+  if (out_y->h() != h || out_y->w() != w) out_y->resize(1, 1, h, w);
+  if (out_x->h() != h || out_x->w() != w) out_x->resize(1, 1, h, w);
   for (int y = 0; y < h; ++y)
     for (int x = 0; x < w; ++x) {
       const float sy = step_y.at(0, 0, y, x);

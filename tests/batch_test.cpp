@@ -1,16 +1,12 @@
-// Batched-vs-single bit-equivalence for the N-dimension inference stack:
-// conv2d_forward, linear_forward, Detector::detect_batch and
-// ScaleRegressor::predict_batch must produce, for every image of a batch,
-// exactly the bits the single-image call produces.  This is the property
-// the cross-stream BatchScheduler's determinism rests on — batch
+// Batched-vs-single bit-equivalence for the N-dimension kernel lowering:
+// conv2d_forward and linear_forward must produce, for every image of a
+// batch, exactly the bits the single-image call produces — batch
 // composition must never leak into results.
 #include <gtest/gtest.h>
 
 #include <thread>
 #include <vector>
 
-#include "adascale/scale_regressor.h"
-#include "detection/detector.h"
 #include "runtime/scratch.h"
 #include "tensor/conv2d.h"
 #include "tensor/gemm.h"
@@ -89,61 +85,6 @@ TEST_P(BatchEquivalenceTest, LinearBatchMatchesSingleRowBitwise) {
       linear_forward(x.image(n), w, b, &y_single);
       expect_bitwise_equal(y_batch.image(n), y_single, "linear output");
     }
-  }
-}
-
-TEST_P(BatchEquivalenceTest, DetectorBatchMatchesDetectBitwise) {
-  DetectorConfig cfg;
-  cfg.num_classes = 5;
-  Rng rng(3);
-  Detector det(cfg, &rng);
-  Rng data_rng(11);
-  // Odd spatial size so pooling floors and pad-clipped im2col edges are in
-  // play, as they are for real rendered frames.
-  const int h = 37, w = 51;
-  for (int batch = 1; batch <= 3; ++batch) {
-    Tensor images = random_tensor(batch, 3, h, w, &data_rng);
-    std::vector<DetectionOutput> batched = det.detect_batch(images);
-    Tensor batched_features = det.features();
-    ASSERT_EQ(static_cast<int>(batched.size()), batch);
-    for (int n = 0; n < batch; ++n) {
-      DetectionOutput single = det.detect(images.image(n));
-      expect_bitwise_equal(batched_features.image(n), det.features(),
-                           "deep features");
-      ASSERT_EQ(batched[static_cast<std::size_t>(n)].detections.size(),
-                single.detections.size());
-      for (std::size_t d = 0; d < single.detections.size(); ++d) {
-        const Detection& a =
-            batched[static_cast<std::size_t>(n)].detections[d];
-        const Detection& b = single.detections[d];
-        EXPECT_EQ(a.class_id, b.class_id);
-        EXPECT_EQ(a.score, b.score);
-        EXPECT_EQ(a.box.x1, b.box.x1);
-        EXPECT_EQ(a.box.y1, b.box.y1);
-        EXPECT_EQ(a.box.x2, b.box.x2);
-        EXPECT_EQ(a.box.y2, b.box.y2);
-        ASSERT_EQ(a.probs.size(), b.probs.size());
-        for (std::size_t p = 0; p < a.probs.size(); ++p)
-          EXPECT_EQ(a.probs[p], b.probs[p]);
-      }
-    }
-  }
-}
-
-TEST_P(BatchEquivalenceTest, RegressorPredictBatchMatchesPredictBitwise) {
-  RegressorConfig cfg;
-  cfg.in_channels = 24;
-  Rng rng(9);
-  ScaleRegressor reg(cfg, &rng);
-  Rng data_rng(13);
-  for (int batch = 1; batch <= 4; ++batch) {
-    Tensor features = random_tensor(batch, cfg.in_channels, 9, 13, &data_rng);
-    const std::vector<float> ts = reg.predict_batch(features);
-    ASSERT_EQ(static_cast<int>(ts.size()), batch);
-    for (int n = 0; n < batch; ++n)
-      EXPECT_EQ(ts[static_cast<std::size_t>(n)],
-                reg.predict(features.image(n)))
-          << "regressor output differs for image " << n;
   }
 }
 

@@ -49,6 +49,30 @@ TEST(Conv2d, IdentityKernelCopiesInput) {
   for (int i = 0; i < 9; ++i) EXPECT_FLOAT_EQ(y[static_cast<std::size_t>(i)], x[static_cast<std::size_t>(i)]);
 }
 
+// A layer output re-sized at every scale change keeps the storage of the
+// largest scale it has served, and the values match a fresh output.
+TEST(Conv2d, OutputKeepsItsStorageAcrossScales) {
+  ConvSpec s{3, 4, 3, 1, 1};
+  Rng rng(5);
+  Tensor w(4, 3, 3, 3), b(1, 4, 1, 1);
+  fill_random(&w, &rng);
+  fill_random(&b, &rng);
+  Tensor big = Tensor::chw(3, 12, 16), small = Tensor::chw(3, 7, 9);
+  fill_random(&big, &rng);
+  fill_random(&small, &rng);
+  Tensor y;
+  conv2d_forward(s, big, w, b, &y);
+  const float* storage = y.data();
+  for (const Tensor* x : {&small, &big, &small}) {
+    conv2d_forward(s, *x, w, b, &y);
+    EXPECT_EQ(y.data(), storage);
+    Tensor fresh;
+    conv2d_forward(s, *x, w, b, &fresh);
+    ASSERT_TRUE(y.same_shape(fresh));
+    for (std::size_t i = 0; i < y.size(); ++i) ASSERT_EQ(y[i], fresh[i]);
+  }
+}
+
 TEST(Conv2d, BiasIsAdded) {
   ConvSpec s{1, 2, 1, 1, 0};
   Tensor x = Tensor::chw(1, 2, 2);

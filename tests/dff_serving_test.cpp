@@ -1,8 +1,8 @@
 // DFF on the serving path: the keyframe/warp branch of AdaScalePipeline /
 // MultiStreamRunner must be a pure wiring change — bit-identical to the
 // already-trusted offline video pipelines (DffPipeline, AdaptiveDffPipeline,
-// Harness::run_dff) on the same input, and bit-identical between serial,
-// concurrent, and batched execution no matter how key frames coalesce.
+// Harness::run_dff) on the same input, and bit-identical between serial and
+// concurrent execution no matter how workers interleave the streams.
 // Serving is stateful for the first time here, so the suite also proves the
 // per-stream context carries no state across streams.
 #include <gtest/gtest.h>
@@ -313,60 +313,42 @@ TEST_F(DffServingTest, FixedScaleServingMatchesHarnessRunDff) {
   }
 }
 
-TEST_F(DffServingTest, BatchedDffMatchesSerialDff) {
-  // The core serving contract: run_batched with DFF — key frames coalesced
-  // across streams by the features_only scheduler, warp frames bypassing it
-  // entirely — produces the same bits as run_serial, for the default
-  // adaptive policy with every trigger armed.
-  MultiStreamRunner batched(detector_.get(), regressor_.get(), &renderer_,
-                            dataset_.scale_policy(), ScaleSet::reg_default(),
-                            4, /*init_scale=*/600, /*snap_scales=*/true);
-  MultiStreamRunner serial(detector_.get(), regressor_.get(), &renderer_,
-                           dataset_.scale_policy(), ScaleSet::reg_default(),
-                           4, /*init_scale=*/600, /*snap_scales=*/true);
-  DffServingConfig scfg;  // default: adaptive, adascale, scale-jump on
-  batched.set_dff(scfg);
-  serial.set_dff(scfg);
+TEST_F(DffServingTest, ConcurrentDffMatchesSerialDff) {
+  // The core serving contract: the stream table with several workers
+  // serving DFF streams — key frames and warp frames of different streams
+  // interleaved on shared leased contexts — produces the same bits as
+  // run_serial.  Covers the default adaptive policy with every trigger
+  // armed, and a fixed-interval AdaScale schedule whose key period (3)
+  // divides neither the stream count (4) nor the worker count (3).
+  DffServingConfig adaptive;  // default: adaptive, adascale, scale-jump on
+  DffServingConfig fixed;
+  fixed.policy = DffServingConfig::Keyframe::kFixedInterval;
+  fixed.key_interval = 3;
+  fixed.adascale = true;
   const auto jobs = val_jobs();
-  BatchSchedulerConfig cfg;
-  cfg.max_batch = 4;
-  cfg.contexts = 2;
-  cfg.max_wait_ms = 2.0;
-  const MultiStreamResult bat = batched.run_batched(jobs, cfg);
-  const MultiStreamResult ref = serial.run_serial(jobs);
-  expect_equal_outputs(bat, ref);
+  for (const DffServingConfig& scfg : {adaptive, fixed}) {
+    MultiStreamRunner concurrent(detector_.get(), regressor_.get(), &renderer_,
+                                 dataset_.scale_policy(),
+                                 ScaleSet::reg_default(), 4,
+                                 /*init_scale=*/600, /*snap_scales=*/true);
+    MultiStreamRunner serial(detector_.get(), regressor_.get(), &renderer_,
+                             dataset_.scale_policy(), ScaleSet::reg_default(),
+                             4, /*init_scale=*/600, /*snap_scales=*/true);
+    concurrent.set_dff(scfg);
+    serial.set_dff(scfg);
+    StreamTableConfig tcfg;
+    tcfg.workers = 3;
+    const MultiStreamResult par = concurrent.run_table(jobs, tcfg);
+    expect_equal_outputs(par, serial.run_serial(jobs));
 
-  // Only key frames reach the scheduler; warp frames bypass the backbone.
-  long keys = 0;
-  for (const StreamOutput& s : bat.streams)
-    for (const AdaFrameOutput& f : s.frames)
-      if (f.dff_key) ++keys;
-  EXPECT_EQ(bat.batch_stats.frames, keys);
-  EXPECT_LT(keys, bat.total_frames);
-}
-
-TEST_F(DffServingTest, BatchedDffOddKnobsStillMatchSerial) {
-  // Awkward batch composition — max_batch not dividing the stream count,
-  // one context, a tiny wait window — must not change a single bit.
-  MultiStreamRunner batched(detector_.get(), regressor_.get(), &renderer_,
-                            dataset_.scale_policy(), ScaleSet::reg_default(),
-                            4, /*init_scale=*/600, /*snap_scales=*/true);
-  MultiStreamRunner serial(detector_.get(), regressor_.get(), &renderer_,
-                           dataset_.scale_policy(), ScaleSet::reg_default(),
-                           4, /*init_scale=*/600, /*snap_scales=*/true);
-  DffServingConfig scfg;
-  scfg.policy = DffServingConfig::Keyframe::kFixedInterval;
-  scfg.key_interval = 3;
-  scfg.adascale = true;
-  batched.set_dff(scfg);
-  serial.set_dff(scfg);
-  const auto jobs = val_jobs();
-  BatchSchedulerConfig cfg;
-  cfg.max_batch = 3;
-  cfg.contexts = 1;
-  cfg.max_wait_ms = 0.5;
-  expect_equal_outputs(batched.run_batched(jobs, cfg),
-                       serial.run_serial(jobs));
+    // Both frame kinds were served, so both branches were compared.
+    long keys = 0;
+    for (const StreamOutput& s : par.streams)
+      for (const AdaFrameOutput& f : s.frames)
+        if (f.dff_key) ++keys;
+    EXPECT_GT(keys, 0);
+    EXPECT_LT(keys, par.total_frames);
+  }
 }
 
 TEST_F(DffServingTest, HeterogeneousPoliciesConcurrentMatchesSerial) {
@@ -459,22 +441,6 @@ TEST_F(DffServingTest, ScaleJumpTriggerForcesKeyframes) {
   const long keys_tight = count_keys(1e-4f);
   const long keys_off = count_keys(0.0f);
   EXPECT_GE(keys_tight, keys_off);
-}
-
-TEST_F(DffServingTest, SeqNmsHistoryStaysBounded) {
-  AdaScalePipeline serving = make_serving();
-  DffServingConfig scfg;
-  scfg.seqnms_window = 3;
-  serving.set_dff(scfg);
-  const auto& frames = dataset_.val_snippets()[0].frames;
-  for (std::size_t f = 0; f < frames.size(); ++f) {
-    serving.process(frames[f]);
-    EXPECT_LE(serving.context().history.size(), 3u);
-    EXPECT_EQ(serving.context().history.size(),
-              std::min<std::size_t>(f + 1, 3u));
-  }
-  serving.reset();
-  EXPECT_TRUE(serving.context().history.empty());
 }
 
 TEST_F(DffServingTest, ResetDropsKeyCacheAndRestartsAtInitScale) {

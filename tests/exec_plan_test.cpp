@@ -2,8 +2,8 @@
 // backend) and reused (zero arena growth after warm-up), invalidated by
 // quantize() and training-mode re-entry, kernel choices that follow the
 // model's policy, MAC totals that match the architecture's source of
-// truth, and batched planned forwards bit-identical to per-image on both
-// fp32 backends.
+// truth, and batched planned layer forwards bit-identical to per-image on
+// both fp32 backends.
 #include "runtime/exec_plan.h"
 
 #include <gtest/gtest.h>
@@ -320,38 +320,43 @@ TEST_F(ExecPlanTest, UnpinnedPolicyPlansPerResolvedBackend) {
   EXPECT_EQ(packed_plan.steps[0].kernel, KernelKind::kGemmPacked);
 }
 
-TEST_F(ExecPlanTest, BatchedPlannedForwardBitIdenticalPerImageBothBackends) {
+TEST_F(ExecPlanTest, BatchedPlannedConvBitIdenticalPerImageBothBackends) {
+  // An n=2 plan through one conv layer (conv4-style dilation, fused ReLU)
+  // must produce, per image, the bits of that image's n=1 plan.
   BackendGuard guard;
-  set_gemm_backend(GemmBackend::kInt8);  // models pin; global must not matter
+  set_gemm_backend(GemmBackend::kInt8);  // the layer pins; global is ignored
+  Rng rng(31);
+  Conv2dLayer conv(3, 8, 3, 1, 4, 4, /*fuse_relu=*/true);
+  conv.init_he(&rng);
   const Tensor f0 = render(240);
   const Tensor f1 = renderer_.render_at_scale(
       dataset_.val_snippets()[1].frames[0], 240, dataset_.scale_policy());
   const std::vector<const Tensor*> imgs{&f0, &f1};
   const Tensor batch = Tensor::batch_of(imgs);
 
+  auto planned_forward = [&conv](const Tensor& x) {
+    ExecutionPlan plan;
+    plan.input = PlanShape{x.n(), x.c(), x.h(), x.w()};
+    PlanShape shape = plan.input;
+    conv.plan_forward(&shape, &plan);
+    plan.finalize();
+    PlanCursor pc(&plan);
+    Tensor y;
+    conv.forward_planned(x, &y, &pc);
+    return y;
+  };
+
   for (const ExecutionPolicy& policy :
        {ExecutionPolicy::fp32(), ExecutionPolicy::reference()}) {
-    detector_->set_execution_policy(policy);
-    const std::vector<DetectionOutput> batched =
-        detector_->detect_batch(batch);
-    const Tensor batched_feats = detector_->features();
-    ASSERT_EQ(batched.size(), 2u);
+    conv.set_policy(policy);
+    const Tensor batched = planned_forward(batch);
+    ASSERT_EQ(batched.n(), 2);
     for (int n = 0; n < 2; ++n) {
-      const DetectionOutput single = detector_->detect(*imgs[n]);
-      const Tensor single_feats = detector_->features();
-      // Deep features bitwise, detections field-by-field.
-      const Tensor bf = batched_feats.image(n);
-      ASSERT_TRUE(bf.same_shape(single_feats));
-      EXPECT_EQ(0, std::memcmp(bf.data(), single_feats.data(),
+      const Tensor single = planned_forward(*imgs[n]);
+      const Tensor bf = batched.image(n);
+      ASSERT_TRUE(bf.same_shape(single));
+      EXPECT_EQ(0, std::memcmp(bf.data(), single.data(),
                                bf.size() * sizeof(float)));
-      const auto& da = batched[static_cast<std::size_t>(n)].detections;
-      const auto& db = single.detections;
-      ASSERT_EQ(da.size(), db.size());
-      for (std::size_t d = 0; d < da.size(); ++d) {
-        EXPECT_EQ(da[d].score, db[d].score);
-        EXPECT_EQ(da[d].box.x1, db[d].box.x1);
-        EXPECT_EQ(da[d].box.y2, db[d].box.y2);
-      }
     }
   }
 }

@@ -228,11 +228,11 @@ TEST_F(ExecPolicyModelTest, ConcurrentStreamsWithDifferentPoliciesMatchSerial) {
   ASSERT_FALSE(par.streams[1].frames.empty());
 }
 
-TEST_F(ExecPolicyModelTest, MixedPrecisionBatchedServingMatchesSerial) {
+TEST_F(ExecPolicyModelTest, MixedPrecisionConcurrentServingMatchesSerial) {
   // The acceptance-bar configuration: int8 detector policy + fp32
-  // regressor policy on the *prototypes*, inherited by every stream clone
-  // and BatchScheduler context.  run_batched must be memcmp-equal to
-  // run_serial under any batch composition.
+  // regressor policy on the *prototypes*, inherited by every leased
+  // serving context.  The stream table with two workers must be
+  // memcmp-equal to run_serial however the workers interleave.
   BackendGuard guard;
   set_gemm_backend(GemmBackend::kPacked);
   quantize_models(render(600));
@@ -242,20 +242,21 @@ TEST_F(ExecPolicyModelTest, MixedPrecisionBatchedServingMatchesSerial) {
   std::vector<const Snippet*> jobs;
   for (const Snippet& s : dataset_.val_snippets()) jobs.push_back(&s);
 
-  MultiStreamRunner batched(detector_.get(), regressor_.get(), &renderer_,
-                            dataset_.scale_policy(), ScaleSet::reg_default(),
-                            2, /*init_scale=*/600, /*snap_scales=*/true);
+  MultiStreamRunner concurrent(detector_.get(), regressor_.get(), &renderer_,
+                               dataset_.scale_policy(),
+                               ScaleSet::reg_default(), 2, /*init_scale=*/600,
+                               /*snap_scales=*/true);
   MultiStreamRunner serial(detector_.get(), regressor_.get(), &renderer_,
                            dataset_.scale_policy(), ScaleSet::reg_default(),
                            2, /*init_scale=*/600, /*snap_scales=*/true);
-  BatchSchedulerConfig cfg;
-  cfg.max_batch = 2;
-  const MultiStreamResult bat = batched.run_batched(jobs, cfg);
+  StreamTableConfig tcfg;
+  tcfg.workers = 2;
+  const MultiStreamResult par = concurrent.run_table(jobs, tcfg);
   const MultiStreamResult ref = serial.run_serial(jobs);
 
-  ASSERT_EQ(bat.streams.size(), ref.streams.size());
-  for (std::size_t s = 0; s < bat.streams.size(); ++s) {
-    const StreamOutput& a = bat.streams[s];
+  ASSERT_EQ(par.streams.size(), ref.streams.size());
+  for (std::size_t s = 0; s < par.streams.size(); ++s) {
+    const StreamOutput& a = par.streams[s];
     const StreamOutput& b = ref.streams[s];
     ASSERT_EQ(a.frames.size(), b.frames.size());
     for (std::size_t f = 0; f < a.frames.size(); ++f) {

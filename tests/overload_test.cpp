@@ -65,16 +65,6 @@ TEST(ConfigValidationDeathTest, TimedRunConfigRejectsNonsense) {
   EXPECT_DEATH(bad_admission.validate(), "capacity");
 }
 
-TEST(ConfigValidationDeathTest, BatchSchedulerRejectsNonsense) {
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
-  BatchSchedulerConfig zero_batch;
-  zero_batch.max_batch = 0;
-  EXPECT_DEATH(zero_batch.validate(), "max_batch");
-  BatchSchedulerConfig neg_wait;
-  neg_wait.max_wait_ms = -1.0;
-  EXPECT_DEATH(neg_wait.validate(), "max_wait_ms");
-}
-
 TEST(ConfigValidationDeathTest, DffServingRejectsNonsense) {
   GTEST_FLAG_SET(death_test_style, "threadsafe");
   DffServingConfig zero_interval;

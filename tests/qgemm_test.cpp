@@ -524,38 +524,6 @@ TEST(DetectorInt8Test, CloneInheritsQuantization) {
   set_gemm_backend(saved);
 }
 
-TEST(DetectorInt8Test, BatchedDetectBitIdenticalToSingle) {
-  // The batch scheduler composes with INT8 unchanged because quantization
-  // lives below the conv2d_forward seam: a quantized detect_batch must be
-  // bit-identical to per-image quantized detect()s, for any batch mix.
-  Rng rng(21);
-  DetectorConfig cfg;
-  cfg.num_classes = 3;
-  cfg.c1 = 6; cfg.c2 = 8; cfg.c3 = 10;
-  Detector det(cfg, &rng);
-  Tensor a = random_tensor(1, 3, 48, 64, 0.0f, 1.0f, &rng);
-  Tensor b = random_tensor(1, 3, 48, 64, 0.0f, 1.0f, &rng);
-  det.quantize({a, b});
-
-  const GemmBackend saved = gemm_backend();
-  set_gemm_backend(GemmBackend::kInt8);
-  std::vector<const Tensor*> imgs = {&a, &b, &a};
-  Tensor batch = Tensor::batch_of(imgs);
-  const std::vector<DetectionOutput> batched = det.detect_batch(batch);
-  ASSERT_EQ(batched.size(), 3u);
-  for (std::size_t i = 0; i < imgs.size(); ++i) {
-    const DetectionOutput one = det.detect(*imgs[i]);
-    ASSERT_EQ(batched[i].detections.size(), one.detections.size());
-    for (std::size_t d = 0; d < one.detections.size(); ++d) {
-      EXPECT_EQ(batched[i].detections[d].score, one.detections[d].score);
-      EXPECT_EQ(batched[i].detections[d].box.x1, one.detections[d].box.x1);
-      EXPECT_EQ(batched[i].detections[d].class_id,
-                one.detections[d].class_id);
-    }
-  }
-  set_gemm_backend(saved);
-}
-
 TEST(RegressorInt8Test, QuantizedPredictCloseToFp32) {
   Rng rng(13);
   RegressorConfig cfg;
@@ -577,14 +545,6 @@ TEST(RegressorInt8Test, QuantizedPredictCloseToFp32) {
   std::unique_ptr<ScaleRegressor> clone = clone_regressor(&reg);
   ASSERT_TRUE(clone->quantized());
   EXPECT_EQ(clone->predict(features), reg.predict(features));
-
-  // Batched prediction bit-identical to per-image under int8.
-  std::vector<const Tensor*> imgs = {&features, &features};
-  Tensor batch = Tensor::batch_of(imgs);
-  const std::vector<float> batched = reg.predict_batch(batch);
-  ASSERT_EQ(batched.size(), 2u);
-  EXPECT_EQ(batched[0], t_int8);
-  EXPECT_EQ(batched[1], t_int8);
   set_gemm_backend(saved);
 }
 

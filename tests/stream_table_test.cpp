@@ -1,7 +1,7 @@
 // Stream-state-table serving: the event-driven table runner must be a pure
 // execution-strategy change — per-stream outputs byte-identical to serial,
-// thread-per-stream, batched and (no-drop) timed execution, under every
-// backend default, heterogeneous per-stream policies and DFF — while the
+// multi-worker and (no-drop) timed execution, under every backend default,
+// heterogeneous per-stream policies and DFF — while the
 // shared-weights split keeps ONE resident weight copy no matter how many
 // streams or contexts exist.  A seeded randomized-replay layer locks down
 // determinism of the virtual-time runner and of the table across worker
@@ -139,10 +139,10 @@ class StreamTableTest : public ::testing::Test {
 };
 
 // ---------------------------------------------------------------------------
-// Equivalence layer: one semantics, five execution strategies.
+// Equivalence layer: one semantics, every execution strategy.
 // ---------------------------------------------------------------------------
 
-TEST_F(StreamTableTest, TableMatchesSerialThreadedAndBatchedBitForBit) {
+TEST_F(StreamTableTest, TableMatchesSerialAndThreadedBitForBit) {
   const auto jobs = val_jobs();
   auto serial = make_runner(3);
   const std::string ref = result_bytes(serial->run_serial(jobs));
@@ -154,13 +154,6 @@ TEST_F(StreamTableTest, TableMatchesSerialThreadedAndBatchedBitForBit) {
 
   auto threaded = make_runner(3);
   EXPECT_EQ(result_bytes(threaded->run(jobs)), ref);
-
-  auto batched = make_runner(3);
-  BatchSchedulerConfig bcfg;
-  bcfg.max_batch = 3;
-  MultiStreamResult bat = batched->run_batched(jobs, bcfg);
-  EXPECT_EQ(result_bytes(bat), ref);
-  EXPECT_EQ(bat.batch_stats.frames, bat.total_frames);
 }
 
 TEST_F(StreamTableTest, EquivalenceHoldsUnderEveryBackendDefault) {
@@ -215,7 +208,7 @@ TEST_F(StreamTableTest, HeterogeneousStreamPoliciesMatchPerPolicySerial) {
   }
 }
 
-TEST_F(StreamTableTest, DffTableMatchesSerialAndBatched) {
+TEST_F(StreamTableTest, DffTableMatchesSerial) {
   DffServingConfig dff;
   dff.policy = DffServingConfig::Keyframe::kFixedInterval;
   dff.key_interval = 2;
@@ -230,10 +223,6 @@ TEST_F(StreamTableTest, DffTableMatchesSerialAndBatched) {
   StreamTableConfig tcfg;
   tcfg.workers = 2;
   EXPECT_EQ(result_bytes(table->run_table(jobs, tcfg)), ref);
-
-  auto batched = make_runner(3);
-  batched->set_dff(dff);
-  EXPECT_EQ(result_bytes(batched->run_batched(jobs)), ref);
 }
 
 TEST_F(StreamTableTest, TimedRunMatchesSerialOnNoDropSchedule) {

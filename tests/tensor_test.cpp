@@ -49,6 +49,23 @@ TEST(Tensor, ReshapePreservesData) {
   EXPECT_EQ(t[5], 5.0f);
 }
 
+TEST(Tensor, ResizeZeroFillsAndKeepsLargeEnoughStorage) {
+  Tensor t(1, 4, 6, 8);
+  t.fill(7.0f);
+  const float* big = t.data();
+  t.resize(1, 2, 3, 5);  // smaller: same storage, new shape, all zeros
+  EXPECT_EQ(t.data(), big);
+  EXPECT_TRUE(t.same_shape(Tensor(1, 2, 3, 5)));
+  EXPECT_EQ(t.size(), 30u);
+  for (std::size_t i = 0; i < t.size(); ++i) EXPECT_EQ(t[i], 0.0f);
+  t.resize(1, 4, 6, 8);  // back up to the old size: still no reallocation
+  EXPECT_EQ(t.data(), big);
+  for (std::size_t i = 0; i < t.size(); ++i) EXPECT_EQ(t[i], 0.0f);
+  t.resize(2, 4, 6, 8);  // beyond the storage: grows, still zeros
+  EXPECT_EQ(t.size(), 384u);
+  for (std::size_t i = 0; i < t.size(); ++i) EXPECT_EQ(t[i], 0.0f);
+}
+
 TEST(Tensor, AbsMax) {
   Tensor t = Tensor::vec(3);
   t[0] = -5.0f;

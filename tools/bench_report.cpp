@@ -1,11 +1,11 @@
 // bench_report — machine-readable kernel/perf trajectory for the repo.
 //
-// Emits BENCH_kernels.json (schema v8): per-conv-shape GFLOP/s and ns/call
+// Emits BENCH_kernels.json (schema v9): per-conv-shape GFLOP/s and ns/call
 // for all three GEMM backends (packed / reference / int8), end-to-end
 // detector forward latency / fps at each nominal scale, multi-stream
-// serving throughput — unbatched vs the cross-stream batch scheduler — the
-// INT8 accuracy cost: fixed-600 mAP of the trained detector under fp32
-// vs the quantized path (the `quantized` section; uses the model cache, so
+// serving throughput on the stream table, the INT8 accuracy cost:
+// fixed-600 mAP of the trained detector under fp32 vs the quantized path
+// (the `quantized` section; uses the model cache, so
 // the first run trains for a few minutes and later runs load instantly) —
 // and, since v5, the `dff` section: per-stream serving FPS with and without
 // DFF temporal reuse (keyframe share, warp-frame vs full-forward cost, and
@@ -26,6 +26,8 @@
 // (runtime/exec_plan.h): for each kernel-bearing layer of the scale-600
 // plan, the measured int8 and packed-fp32 ns, the int8/fp32 speedup ratio,
 // and the kernel the plan actually chose (int8, or packed where int8 lost).
+// Since v9 the `multi_stream` section reports one `fps`: cross-stream
+// batching, and with it the `batched` sweep, is gone.
 // Since v4 every section records the execution policy its rows ran under
 // (per-column for multi-backend sections), and backends are selected with
 // pinned per-model ExecutionPolicy values / explicit kernel arguments —
@@ -38,9 +40,8 @@
 // Deliberately not a google-benchmark binary so it builds and runs even
 // where libbenchmark is absent (it is the CI Release smoke test).  Unlike
 // bench_multi_stream (which pins the kernel pool to one thread to isolate
-// stream scaling), the multi_stream section here runs with the default pool
-// so batched forwards can use the whole machine — this is the number the
-// batching acceptance bar reads.
+// stream scaling), the multi_stream section here runs with the default
+// kernel pool.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -178,9 +179,8 @@ void emit_detector_scales(JsonWriter* jw, Detector* det,
   det->set_execution_policy(ExecutionPolicy::env_default());
 }
 
-/// Multi-stream serving: aggregate FPS of the unbatched runner (dedicated
-/// thread per stream) vs the batch scheduler at several max_batch values,
-/// identical jobs.  Best-of-two per mode damps scheduling noise.
+/// Multi-stream serving: aggregate FPS of the stream table over 4 streams.
+/// Best-of-two damps scheduling noise.
 void emit_multi_stream(JsonWriter* jw, Detector* det, const Dataset& dataset) {
   const Renderer renderer = dataset.make_renderer();
   RegressorConfig rcfg;
@@ -195,10 +195,8 @@ void emit_multi_stream(JsonWriter* jw, Detector* det, const Dataset& dataset) {
   std::vector<const Snippet*> jobs;
   for (const Snippet& s : dataset.val_snippets()) jobs.push_back(&s);
 
-  // Scales snap to the regressor set in BOTH modes (identical work): raw
-  // Algorithm-1 decode yields arbitrary integer scales that almost never
-  // coincide across streams, so without snapping the scheduler cannot form
-  // batches at all.
+  // Scales snap to the regressor set, so every stream serves a closed set
+  // of planned shapes.
   const int streams = 4;
   MultiStreamRunner runner(det, &regressor, &renderer, dataset.scale_policy(),
                            ScaleSet::reg_default(), streams,
@@ -208,8 +206,7 @@ void emit_multi_stream(JsonWriter* jw, Detector* det, const Dataset& dataset) {
     return a.aggregate_fps >= b.aggregate_fps ? a : b;
   };
   runner.run(jobs);  // warm caches, arenas, pool
-  const MultiStreamResult unbatched =
-      best_fps(runner.run(jobs), runner.run(jobs));
+  const MultiStreamResult r = best_fps(runner.run(jobs), runner.run(jobs));
 
   jw->key("multi_stream");
   jw->begin_object();
@@ -219,28 +216,8 @@ void emit_multi_stream(JsonWriter* jw, Detector* det, const Dataset& dataset) {
   jw->key("scales_snapped_to_reg_set").value(true);
   jw->key("cores").value(
       static_cast<int>(std::thread::hardware_concurrency()));
-  jw->key("frames").value(static_cast<long long>(unbatched.total_frames));
-  jw->key("unbatched_fps").value(unbatched.aggregate_fps);
-  jw->key("batched");
-  jw->begin_array();
-  // Sweep stops at `streams`: each stream has at most one outstanding
-  // frame, so a larger max_batch can never fill further.
-  for (int mb : {2, 4}) {
-    BatchSchedulerConfig cfg;
-    cfg.max_batch = mb;
-    const MultiStreamResult r =
-        best_fps(runner.run_batched(jobs, cfg), runner.run_batched(jobs, cfg));
-    jw->begin_object();
-    jw->key("max_batch").value(mb);
-    jw->key("fps").value(r.aggregate_fps);
-    jw->key("speedup_vs_unbatched")
-        .value(unbatched.aggregate_fps > 0.0
-                   ? r.aggregate_fps / unbatched.aggregate_fps
-                   : 0.0);
-    jw->key("mean_batch").value(r.batch_stats.mean_batch());
-    jw->end_object();
-  }
-  jw->end_array();
+  jw->key("frames").value(static_cast<long long>(r.total_frames));
+  jw->key("fps").value(r.aggregate_fps);
   jw->end_object();
 }
 
@@ -698,7 +675,7 @@ int main(int argc, char** argv) {
 
   JsonWriter jw;
   jw.begin_object();
-  jw.key("schema").value("adascale-bench-kernels-v8");
+  jw.key("schema").value("adascale-bench-kernels-v9");
   jw.key("gemm_kernel_isa").value(gemm_kernel_isa());
   // lint:allow(R2) reporting the env-selected default in the JSON header —
   // a diagnostic read for humans; execution below pins ExecutionPolicy.
@@ -721,8 +698,7 @@ int main(int argc, char** argv) {
   emit_kernel_autotune(&jw, dataset);
 
   // Serving throughput on a separate small job pool (8 snippets over 4
-  // streams), default kernel pool: the batched-vs-unbatched comparison the
-  // batching acceptance bar reads.
+  // streams), default kernel pool.
   Dataset stream_dataset = Dataset::synth_vid(1, 8, 99);
   emit_multi_stream(&jw, &detector, stream_dataset);
 

@@ -1,7 +1,7 @@
 // invariant_lint — static enforcement of the project's correctness contracts.
 //
 // The stack's headline guarantees (bit-identical serving across threads,
-// batching and backends; all timing through the injected Clock seam; backend
+// workers and backends; all timing through the injected Clock seam; backend
 // reads confined to their seam files) hold only as long as every PR keeps
 // them.  Until now they were conventions; this tool makes them machine
 // checked.  It is a token-level scanner (comments and string literals are
