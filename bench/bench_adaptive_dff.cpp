@@ -10,50 +10,41 @@
 
 #include "experiments/harness.h"
 #include "util/table.h"
-#include "video/adaptive_dff.h"
 
 using namespace ada;
 
 namespace {
 
-std::vector<SnippetRun> run_adaptive(Harness* h, Detector* det,
-                                     ScaleRegressor* reg_or_null,
-                                     const AdaptiveDffConfig& cfg,
-                                     double* key_share) {
-  const Renderer renderer = h->dataset().make_renderer();
-  AdaptiveDffPipeline pipeline(det, reg_or_null, &renderer,
-                               h->dataset().scale_policy(), cfg,
-                               ScaleSet::reg_default());
-  const int ref_h = h->dataset().scale_policy().render_h(600);
-  const int ref_w = h->dataset().scale_policy().render_w(600);
+struct Row {
+  MethodRun run;
+  double key_share;
+};
 
-  std::vector<SnippetRun> runs;
+/// One DFF configuration over the validation snippets, with the share of
+/// frames that ran the backbone (AdaFrameOutput::dff_key).
+Row run_row(Harness* h, const char* label, Detector* det, ScaleRegressor* reg,
+            const DffServingConfig& cfg) {
+  std::vector<SnippetRun> runs =
+      h->run_dff(det, reg, cfg, ScaleSet::reg_default());
   long keys = 0, frames = 0;
-  for (const Snippet& snip : h->dataset().val_snippets()) {
-    pipeline.reset();
-    SnippetRun run;
-    for (const Scene& scene : snip.frames) {
-      AdaptiveDffFrameOutput out = pipeline.process(scene);
-      std::vector<EvalDetection> dets;
-      dets.reserve(out.detections.detections.size());
-      for (const Detection& d : out.detections.detections) {
-        EvalDetection e;
-        e.box = rescale_box(d.box, out.detections.image_h,
-                            out.detections.image_w, ref_h, ref_w);
-        e.class_id = d.class_id;
-        e.score = d.score;
-        dets.push_back(e);
-      }
-      run.frame_dets.push_back(std::move(dets));
-      run.frame_ms.push_back(out.total_ms());
-      run.frame_scales.push_back(out.scale_used);
-      if (out.is_key) ++keys;
-      ++frames;
-    }
-    runs.push_back(std::move(run));
+  for (const SnippetRun& r : runs) {
+    keys += r.key_frames;
+    frames += static_cast<long>(r.frame_dets.size());
   }
-  *key_share = frames > 0 ? static_cast<double>(keys) / frames : 0.0;
-  return runs;
+  return {h->evaluate(label, std::move(runs)),
+          frames > 0 ? static_cast<double>(keys) / frames : 0.0};
+}
+
+/// Adaptive key frames on the warp residual alone: a forced refresh after
+/// 20 warp frames and no scale-jump trigger.
+DffServingConfig adaptive(float residual_threshold, bool with_adascale) {
+  DffServingConfig cfg;
+  cfg.policy = DffServingConfig::Keyframe::kAdaptive;
+  cfg.residual_threshold = residual_threshold;
+  cfg.max_interval = 20;
+  cfg.scale_jump_frac = 0.0f;
+  cfg.adascale = with_adascale;
+  return cfg;
 }
 
 }  // namespace
@@ -65,33 +56,22 @@ int main() {
   ScaleRegressor* reg =
       h.regressor(ScaleSet::train_default(), h.default_regressor_config());
 
-  DffConfig fixed_cfg;  // key interval 10
-  AdaptiveDffConfig tight;
-  tight.residual_threshold = 0.02f;
-  AdaptiveDffConfig loose;
-  loose.residual_threshold = 0.06f;
+  DffServingConfig fixed;  // the paper's DFF: a key every 10 frames
+  fixed.policy = DffServingConfig::Keyframe::kFixedInterval;
+  fixed.key_interval = 10;
+  fixed.adascale = false;
+  DffServingConfig fixed_ada = fixed;
+  fixed_ada.adascale = true;
 
-  struct Row {
-    MethodRun run;
-    double key_share;
-  };
   std::vector<Row> rows;
-
-  MethodRun dff = h.evaluate(
-      "DFF (fixed k=10)", h.run_dff(det, nullptr, fixed_cfg, ScaleSet::reg_default()));
-  rows.push_back({dff, 1.0 / fixed_cfg.key_interval});
-
-  double share = 0.0;
-  auto runs = run_adaptive(&h, det, nullptr, tight, &share);
-  rows.push_back({h.evaluate("adaptive (thr 0.02)", std::move(runs)), share});
-  runs = run_adaptive(&h, det, nullptr, loose, &share);
-  rows.push_back({h.evaluate("adaptive (thr 0.06)", std::move(runs)), share});
-
-  MethodRun dff_ada = h.evaluate(
-      "DFF+AdaScale (fixed)", h.run_dff(det, reg, fixed_cfg, ScaleSet::reg_default()));
-  rows.push_back({dff_ada, 1.0 / fixed_cfg.key_interval});
-  runs = run_adaptive(&h, det, reg, tight, &share);
-  rows.push_back({h.evaluate("adaptive+AdaScale (0.02)", std::move(runs)), share});
+  rows.push_back(run_row(&h, "DFF (fixed k=10)", det, reg, fixed));
+  rows.push_back(
+      run_row(&h, "adaptive (thr 0.02)", det, reg, adaptive(0.02f, false)));
+  rows.push_back(
+      run_row(&h, "adaptive (thr 0.06)", det, reg, adaptive(0.06f, false)));
+  rows.push_back(run_row(&h, "DFF+AdaScale (fixed)", det, reg, fixed_ada));
+  rows.push_back(run_row(&h, "adaptive+AdaScale (0.02)", det, reg,
+                         adaptive(0.02f, true)));
 
   TextTable table({"method", "mAP(%)", "ms/frame", "key share(%)"});
   for (const Row& r : rows)

@@ -1,7 +1,6 @@
 #include "adascale/pipeline.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 #include "tensor/image_ops.h"
@@ -83,15 +82,9 @@ void AdaScalePipeline::set_dff(const DffServingConfig& cfg) {
   ctx_.reset(init_scale_);
 }
 
-Tensor AdaScalePipeline::flow_gray(const Scene& frame,
-                                   const Tensor* full_render) const {
-  if (dff_.flow_render_scale > 0) {
-    const Tensor tiny =
-        renderer_->render_at_scale(frame, dff_.flow_render_scale, policy_);
-    return to_grayscale(tiny);
-  }
-  assert(full_render != nullptr);
-  return to_grayscale(*full_render);
+Tensor AdaScalePipeline::flow_gray(const Scene& frame) const {
+  return to_grayscale(
+      renderer_->render_at_scale(frame, dff_.flow_render_scale, policy_));
 }
 
 void AdaScalePipeline::refresh_key(const Scene& frame, const Tensor& image,
@@ -99,12 +92,12 @@ void AdaScalePipeline::refresh_key(const Scene& frame, const Tensor& image,
   DffStreamState& st = ctx_.dff;
   // The downsample of the grayscale flow source to feature resolution
   // waits until the feature dimensions are known.
-  Tensor gray = flow_gray(frame, &image);
+  Tensor gray = flow_gray(frame);
 
-  Timer backbone_timer;
-  const Tensor& features = m->det()->forward(image);
-  out->detect_ms = backbone_timer.elapsed_ms();
-  st.key_features = features;
+  Timer detect_timer;
+  Detector* det = m->det();
+  st.key_features = det->forward(image);
+  out->detect_ms = detect_timer.elapsed_ms();
   if (dff_.adascale) {
     out->regressed_t = m->reg()->predict(st.key_features);
     out->regressor_ms = m->reg()->last_predict_ms();
@@ -117,13 +110,12 @@ void AdaScalePipeline::refresh_key(const Scene& frame, const Tensor& image,
   st.acc_flow_y = Tensor();
   st.acc_flow_x = Tensor();
 
-  // Heads + decode run on the cached features — the same call sequence as
-  // the offline DffPipeline, which is what makes serving output
-  // bit-identical to Harness::run_dff.
-  Timer head_timer;
+  // forward() already ran the planned heads on this frame; decode them
+  // (what detect() does), so a key frame runs the heads once.
+  Timer decode_timer;
   out->detections =
-      m->det()->detect_from_features(st.key_features, image.h(), image.w());
-  out->detect_ms += head_timer.elapsed_ms();
+      det->detect_from_features(det->features(), image.h(), image.w());
+  out->detect_ms += decode_timer.elapsed_ms();
 
   if (dff_.adascale) {
     int next = decode_scale_target(out->regressed_t, st.current_scale, sreg_);
@@ -144,8 +136,7 @@ AdaFrameOutput AdaScalePipeline::process_dff(const Scene& frame) {
   ModelLease m(this);  // lazy: flow-only warp frames never acquire
 
   const bool fixed = dff_.policy == DffServingConfig::Keyframe::kFixedInterval;
-  const int key_interval = std::max(dff_.key_interval, 1);
-  bool key = fixed ? (st.frame_index % key_interval) == 0
+  bool key = fixed ? (st.frame_index % dff_.key_interval) == 0
                    : (!st.has_key || st.since_key >= dff_.max_interval);
 
   // Scale changes only take effect at key frames, so warped features always
@@ -155,36 +146,37 @@ AdaFrameOutput AdaScalePipeline::process_dff(const Scene& frame) {
   out.scale_used = st.current_scale;
 
   if (!key) {
-    // Warp attempt: estimate flow from the key frame to this one.  With a
-    // tiny flow render the full working-scale render is skipped entirely —
-    // the heads only need the image dimensions, which the scale policy
-    // knows.  (A forced key below re-renders at full scale.)
-    const bool tiny = dff_.flow_render_scale > 0;
+    // Warp attempt: estimate flow from the key frame to this one.  The
+    // flow source is a tiny dedicated render, so the full working-scale
+    // render is skipped entirely — the heads only need the image
+    // dimensions, which the scale policy knows.  (A forced key below
+    // renders at full scale.)
     const int img_h = policy_.render_h(st.current_scale);
     const int img_w = policy_.render_w(st.current_scale);
-    Tensor full_render;
-    if (!tiny)
-      full_render =
-          renderer_->render_at_scale(frame, st.current_scale, policy_);
 
     Timer flow_timer;
-    Tensor gray = flow_gray(frame, tiny ? nullptr : &full_render);
+    Tensor gray = flow_gray(frame);
     Tensor cur_gray;
     bilinear_resize(gray, st.key_features.h(), st.key_features.w(), &cur_gray);
+    // Per-frame flow steps (previous -> current) are composed into the
+    // key->current field: block matching is only accurate for small
+    // displacements, so matching key->current directly would quietly
+    // degrade once cumulative motion leaves the search radius.
     Tensor flow_y, flow_x;
-    if (dff_.incremental_flow && st.acc_flow_y.size() != 0) {
+    if (st.acc_flow_y.size() != 0) {
       Tensor step_y, step_x;
       block_matching_flow(st.prev_gray, cur_gray, dff_.flow, &step_y, &step_x);
       compose_flow(st.acc_flow_y, st.acc_flow_x, step_y, step_x, &flow_y,
                    &flow_x);
     } else {
-      // First warp frame after a key (prev == key), or incremental off.
+      // First warp frame after a key (prev == key).
       block_matching_flow(st.key_gray, cur_gray, dff_.flow, &flow_y, &flow_x);
     }
 
     if (!fixed) {
       // Adaptive policy: gate propagation on the warp residual
-      // (AdaptiveDffPipeline's trigger, same arithmetic).
+      // (refresh when propagation becomes unreliable, after Zhu et al.,
+      // CVPR 2018).
       Tensor warped_gray;
       bilinear_warp(st.key_gray, flow_y, flow_x, &warped_gray);
       double residual = 0.0;

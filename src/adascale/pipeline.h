@@ -14,11 +14,12 @@
 // key frames, whose deep features are cached in the per-stream
 // StreamContext; intermediate frames estimate a cheap optical flow, warp
 // the cached features along it, and run only the detection heads.  This is
-// the paper's Fig. 7 headline combination (AdaScale + DFF) on the serving
-// path — the scale regressor runs on key frames (decoded scale takes effect
-// at the next key, so warped features always match the cached geometry) and
-// doubles as a scene-change detector on warp frames (a regressed scale jump
-// forces a key frame).
+// the paper's Fig. 7 headline combination (AdaScale + DFF) and the
+// repository's only DFF (Harness::run_dff drives it).  The scale regressor
+// runs on key frames (decoded scale takes effect at the next key, so warped
+// features always match the cached geometry) and doubles as a
+// scene-change detector on warp frames (a regressed scale jump forces a key
+// frame).
 #pragma once
 
 #include <cstdio>
@@ -167,18 +168,16 @@ class AdaScalePipeline {
   /// The keyframe/warp branch of process().
   AdaFrameOutput process_dff(const Scene& frame);
 
-  /// Runs the full backbone on `image` (leased detector), caches key
-  /// features + grayscale into the context, detects on the cached
-  /// features, and (when dff_.adascale) regresses the next key's scale.
-  /// `frame` supplies the grayscale flow source (tiny render).
+  /// Runs the full backbone and heads on `image` (leased detector), caches
+  /// key features + grayscale into the context, decodes the heads that
+  /// forward just computed, and (when dff_.adascale) regresses the next
+  /// key's scale.  `frame` supplies the grayscale flow source.
   void refresh_key(const Scene& frame, const Tensor& image,
                    AdaFrameOutput* out, ModelLease* m);
 
-  /// Grayscale flow source for `frame`: a tiny dedicated render
-  /// (dff_.flow_render_scale > 0) or the given full-scale render (legacy;
-  /// `full_render` may be null in tiny mode).  Same convention as
-  /// DffPipeline::flow_gray — callers resize to the feature grid.
-  Tensor flow_gray(const Scene& frame, const Tensor* full_render) const;
+  /// Grayscale flow source for `frame`: a tiny dedicated render at
+  /// dff_.flow_render_scale.  Callers resize it to the feature grid.
+  Tensor flow_gray(const Scene& frame) const;
 
   /// `s` clamped under the overload scale cap (identity when uncapped).
   int capped(int s) const;

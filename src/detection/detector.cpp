@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <sstream>
 
 #include "detection/nms.h"
@@ -199,10 +201,27 @@ DetectionOutput Detector::decode_image(int image_h, int image_w,
 DetectionOutput Detector::detect_from_features(const Tensor& features,
                                                int image_h, int image_w) {
   Timer timer;
-  // If called externally (DFF path), recompute heads on given features.
   if (&features != &features_) {
-    cls_head_.forward(features, &heads_.cls);
-    reg_head_.forward(features, &heads_.reg);
+    // A foreign feature map (DFF: warped from a key frame) runs the heads
+    // through the steps forward() runs them with at this image size, so a
+    // head layer serves the same kernel whichever frame type fed it.  The
+    // heads are the plan's last two steps (plan_for appends them last).
+    const ExecutionPlan& plan = plan_for(1, image_h, image_w);
+    const std::size_t first_head = plan.steps.size() - 2;
+    const PlanShape& in = plan.steps[first_head].in;
+    if (features.n() != in.n || features.c() != in.c ||
+        features.h() != in.h || features.w() != in.w) {
+      std::fprintf(stderr,
+                   "Detector::detect_from_features: features %s do not fit "
+                   "a %dx%d image (the heads expect %dx%dx%dx%d)\n",
+                   features.shape_str().c_str(), image_h, image_w, in.n, in.c,
+                   in.h, in.w);
+      std::abort();
+    }
+    scratch_arena().reserve(plan.arena_floats);
+    PlanCursor pc(&plan, first_head);
+    cls_head_.forward_planned(features, &heads_.cls, &pc);
+    reg_head_.forward_planned(features, &heads_.reg, &pc);
   }
   const std::vector<Box> anchors =
       generate_anchors(cfg_.anchors, heads_.cls.h(), heads_.cls.w());
@@ -474,6 +493,15 @@ long long Detector::forward_macs(int img_h, int img_w) const {
   long long total = 0;
   for (const ConvStackEntry& e : conv_stack(img_h, img_w))
     total += conv2d_macs(e.spec, e.in_h, e.in_w);
+  return total;
+}
+
+long long Detector::head_macs(int img_h, int img_w) const {
+  const std::vector<ConvStackEntry> stack = conv_stack(img_h, img_w);
+  long long total = 0;
+  // The heads are the stack's last two entries, as in the plan.
+  for (std::size_t i = stack.size() - 2; i < stack.size(); ++i)
+    total += conv2d_macs(stack[i].spec, stack[i].in_h, stack[i].in_w);
   return total;
 }
 

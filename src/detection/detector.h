@@ -82,8 +82,12 @@ class Detector {
   /// Full inference: forward, decode, NMS, top-K.
   DetectionOutput detect(const Tensor& image);
 
-  /// Inference reusing an externally produced feature map (the DFF path:
-  /// features warped from a key frame instead of computed by the backbone).
+  /// Decode, NMS and top-K for an image of size image_h x image_w.  Given
+  /// features() it decodes the heads the last forward() computed (what
+  /// detect() does); given any other feature map (the DFF path: features
+  /// warped from a key frame) it first runs the heads through the planned
+  /// steps of plan_for(1, image_h, image_w), which must fit that map's
+  /// shape (aborts otherwise).
   DetectionOutput detect_from_features(const Tensor& features, int image_h,
                                        int image_w);
 
@@ -177,6 +181,10 @@ class Detector {
   /// Multiply-accumulate count of one forward at the given image size;
   /// proportional to the ideal runtime at that scale.
   long long forward_macs(int img_h, int img_w) const;
+
+  /// Multiply-accumulate count of the two detection heads alone at the
+  /// given image size: all the network work of a DFF warp frame.
+  long long head_macs(int img_h, int img_w) const;
 
  private:
   struct HeadOutputs {

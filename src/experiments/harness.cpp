@@ -152,6 +152,7 @@ std::vector<SnippetRun> Harness::run_fixed(Detector* det, int scale) {
         run->frame_dets.push_back(to_reference(out));
         run->frame_ms.push_back(out.forward_ms);
         run->frame_scales.push_back(scale);
+        run->frame_macs.push_back(macs_at(det, scale));
       });
 }
 
@@ -170,6 +171,7 @@ std::vector<SnippetRun> Harness::run_random(Detector* det,
         run->frame_dets.push_back(to_reference(out));
         run->frame_ms.push_back(out.forward_ms);
         run->frame_scales.push_back(scale);
+        run->frame_macs.push_back(macs_at(det, scale));
       });
 }
 
@@ -181,11 +183,13 @@ std::vector<SnippetRun> Harness::run_multiscale(Detector* det,
       [] {},
       [&](const Scene& scene, SnippetRun* run) {
         double total_ms = 0.0;
+        long long total_macs = 0;
         std::vector<EvalDetection> merged;
         for (int scale : sreg.scales) {
           const Tensor image = renderer_.render_at_scale(scene, scale, policy);
           DetectionOutput out = det->detect(image);
           total_ms += out.forward_ms;
+          total_macs += macs_at(det, scale);
           std::vector<EvalDetection> ref = to_reference(out);
           merged.insert(merged.end(), ref.begin(), ref.end());
         }
@@ -201,7 +205,33 @@ std::vector<SnippetRun> Harness::run_multiscale(Detector* det,
         run->frame_dets.push_back(std::move(out_dets));
         run->frame_ms.push_back(total_ms);
         run->frame_scales.push_back(sreg.max());
+        run->frame_macs.push_back(total_macs);
       });
+}
+
+std::vector<SnippetRun> Harness::run_pipeline(AdaScalePipeline* pipeline,
+                                              const Detector* det) {
+  const ScalePolicy& policy = dataset_.scale_policy();
+  return run_generic(
+      [&] { pipeline->reset(); },
+      [&](const Scene& scene, SnippetRun* run) {
+        const AdaFrameOutput out = pipeline->process(scene);
+        run->frame_dets.push_back(to_reference(out.detections));
+        run->frame_ms.push_back(out.total_ms());
+        run->frame_scales.push_back(out.scale_used);
+        // A DFF warp frame runs the heads alone on warped features.
+        run->frame_macs.push_back(
+            out.dff && !out.dff_key
+                ? det->head_macs(policy.render_h(out.scale_used),
+                                 policy.render_w(out.scale_used))
+                : macs_at(det, out.scale_used));
+        if (out.dff_key) ++run->key_frames;
+      });
+}
+
+long long Harness::macs_at(const Detector* det, int scale) const {
+  const ScalePolicy& policy = dataset_.scale_policy();
+  return det->forward_macs(policy.render_h(scale), policy.render_w(scale));
 }
 
 std::vector<SnippetRun> Harness::run_adascale(Detector* det,
@@ -209,14 +239,7 @@ std::vector<SnippetRun> Harness::run_adascale(Detector* det,
                                               const ScaleSet& sreg) {
   AdaScalePipeline pipeline(det, reg, &renderer_, dataset_.scale_policy(),
                             sreg, /*init_scale=*/600);
-  return run_generic(
-      [&] { pipeline.reset(); },
-      [&](const Scene& scene, SnippetRun* run) {
-        AdaFrameOutput out = pipeline.process(scene);
-        run->frame_dets.push_back(to_reference(out.detections));
-        run->frame_ms.push_back(out.total_ms());
-        run->frame_scales.push_back(out.scale_used);
-      });
+  return run_pipeline(&pipeline, det);
 }
 
 std::vector<SnippetRun> Harness::run_oracle(Detector* det,
@@ -234,6 +257,7 @@ std::vector<SnippetRun> Harness::run_oracle(Detector* det,
         run->frame_dets.push_back(to_reference(out));
         run->frame_ms.push_back(out.forward_ms);
         run->frame_scales.push_back(m.optimal_scale);
+        run->frame_macs.push_back(macs_at(det, m.optimal_scale));
       });
 }
 
@@ -257,24 +281,19 @@ std::vector<SnippetRun> Harness::run_adascale_same_frame(Detector* det,
         run->frame_ms.push_back(first.forward_ms + reg->last_predict_ms() +
                                 out.forward_ms);
         run->frame_scales.push_back(chosen);
+        run->frame_macs.push_back(macs_at(det, inherited) +
+                                  macs_at(det, chosen));
         inherited = chosen;
       });
 }
 
-std::vector<SnippetRun> Harness::run_dff(Detector* det,
-                                         ScaleRegressor* reg_or_null,
-                                         const DffConfig& dff_cfg,
+std::vector<SnippetRun> Harness::run_dff(Detector* det, ScaleRegressor* reg,
+                                         const DffServingConfig& cfg,
                                          const ScaleSet& sreg) {
-  DffPipeline pipeline(det, reg_or_null, &renderer_, dataset_.scale_policy(),
-                       dff_cfg, sreg, /*init_scale=*/600);
-  return run_generic(
-      [&] { pipeline.reset(); },
-      [&](const Scene& scene, SnippetRun* run) {
-        DffFrameOutput out = pipeline.process(scene);
-        run->frame_dets.push_back(to_reference(out.detections));
-        run->frame_ms.push_back(out.total_ms());
-        run->frame_scales.push_back(out.scale_used);
-      });
+  AdaScalePipeline pipeline(det, reg, &renderer_, dataset_.scale_policy(),
+                            sreg, /*init_scale=*/600);
+  pipeline.set_dff(cfg);
+  return run_pipeline(&pipeline, det);
 }
 
 MethodRun Harness::evaluate(const std::string& label,
@@ -292,9 +311,7 @@ MethodRun Harness::evaluate(const std::string& label,
   double total_ms = 0.0;
   long frames = 0;
   double total_macs = 0.0;
-  const ScalePolicy& policy = dataset_.scale_policy();
-  Detector* macs_det = nullptr;
-  if (!detectors_.empty()) macs_det = detectors_.begin()->second.get();
+  long macs_frames = 0;
 
   for (std::size_t s = 0; s < runs.size(); ++s) {
     SnippetRun& run = runs[s];
@@ -320,12 +337,11 @@ MethodRun Harness::evaluate(const std::string& label,
       evaluator.add_frame(gts, run.frame_dets[f]);
       total_ms += run.frame_ms[f];
       result.used_scales.push_back(run.frame_scales[f]);
-      if (macs_det != nullptr) {
-        const int h = policy.render_h(run.frame_scales[f]);
-        const int w = policy.render_w(run.frame_scales[f]);
-        total_macs += static_cast<double>(macs_det->forward_macs(h, w));
-      }
       ++frames;
+    }
+    for (long long macs : run.frame_macs) {
+      total_macs += static_cast<double>(macs);
+      ++macs_frames;
     }
   }
 
@@ -337,7 +353,7 @@ MethodRun Harness::evaluate(const std::string& label,
   result.mean_ms = frames > 0 ? total_ms / static_cast<double>(frames) : 0.0;
   result.fps = result.mean_ms > 0.0 ? 1000.0 / result.mean_ms : 0.0;
   result.mean_macs =
-      frames > 0 ? total_macs / static_cast<double>(frames) : 0.0;
+      macs_frames > 0 ? total_macs / static_cast<double>(macs_frames) : 0.0;
   return result;
 }
 

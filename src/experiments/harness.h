@@ -26,7 +26,6 @@
 #include "data/dataset.h"
 #include "detection/trainer.h"
 #include "eval/map_evaluator.h"
-#include "video/dff.h"
 #include "video/seq_nms.h"
 
 namespace ada {
@@ -36,6 +35,11 @@ struct SnippetRun {
   std::vector<std::vector<EvalDetection>> frame_dets;
   std::vector<double> frame_ms;
   std::vector<int> frame_scales;
+  /// Conv MACs of every detector pass a runner made for the frame:
+  /// multi-shot sums its scales, same-frame both passes, a DFF warp frame
+  /// counts the heads alone.
+  std::vector<long long> frame_macs;
+  int key_frames = 0;  ///< DFF key frames (run_dff); 0 for other runners
 };
 
 /// Evaluated summary of one method.
@@ -44,7 +48,7 @@ struct MethodRun {
   MapResult eval;
   double mean_ms = 0.0;        ///< mean per-frame runtime
   double fps = 0.0;
-  double mean_macs = 0.0;      ///< model-based conv cost per frame
+  double mean_macs = 0.0;      ///< mean SnippetRun::frame_macs (0 if none)
   std::vector<int> used_scales;  ///< scale of every processed frame
 };
 
@@ -84,8 +88,11 @@ class Harness {
   std::vector<SnippetRun> run_adascale_same_frame(Detector* det,
                                                   ScaleRegressor* reg,
                                                   const ScaleSet& sreg);
-  std::vector<SnippetRun> run_dff(Detector* det, ScaleRegressor* reg_or_null,
-                                  const DffConfig& dff_cfg,
+  /// Deep Feature Flow through AdaScalePipeline's DFF branch (set_dff).
+  /// Plain DFF is `cfg.adascale = false` (the regressor never runs); the
+  /// paper's fixed-k rows use Keyframe::kFixedInterval.
+  std::vector<SnippetRun> run_dff(Detector* det, ScaleRegressor* reg,
+                                  const DffServingConfig& cfg,
                                   const ScaleSet& sreg);
 
   /// Optionally applies Seq-NMS (adding its wall time to each snippet's
@@ -132,6 +139,13 @@ class Harness {
   /// Runs `process` over every val frame; shared runner plumbing.
   template <typename PerSnippetReset, typename PerFrame>
   std::vector<SnippetRun> run_generic(PerSnippetReset reset, PerFrame frame);
+
+  /// run_adascale / run_dff: `pipeline` over every val snippet.
+  std::vector<SnippetRun> run_pipeline(AdaScalePipeline* pipeline,
+                                       const Detector* det);
+
+  /// Conv MACs of one full forward at `scale`.
+  long long macs_at(const Detector* det, int scale) const;
 
   /// Converts a DetectionOutput to reference-frame EvalDetections.
   std::vector<EvalDetection> to_reference(const DetectionOutput& out) const;

@@ -162,10 +162,12 @@ std::size_t autotune_cache_size();
 
 /// Walking cursor over a plan during a planned forward.  Each leaf layer
 /// takes exactly one step; the order-by-construction contract makes this a
-/// bare index.
+/// bare index.  `first` starts the walk mid-plan, for a forward that runs
+/// only the plan's tail (the detector's heads on DFF-warped features).
 class PlanCursor {
  public:
-  explicit PlanCursor(const ExecutionPlan* plan) : plan_(plan) {}
+  explicit PlanCursor(const ExecutionPlan* plan, std::size_t first = 0)
+      : plan_(plan), next_(first) {}
 
   /// The next step, advancing the cursor.  Walking past the end means the
   /// plan was built for a different layer stack — a programming error.

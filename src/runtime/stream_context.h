@@ -37,8 +37,7 @@ struct DffServingConfig {
   /// How key frames are chosen.
   enum class Keyframe {
     /// Every `key_interval`-th frame is a key (Zhu et al. CVPR'17 schedule;
-    /// exactly DffPipeline's behavior — the serving/harness equivalence
-    /// tests rely on this mode being bit-identical to Harness::run_dff).
+    /// the paper's fixed-k DFF rows, Harness::run_dff).
     kFixedInterval,
     /// Refresh when flow propagation degrades (warp residual >
     /// `residual_threshold`), when the regressed scale jumps
@@ -48,7 +47,7 @@ struct DffServingConfig {
   };
   Keyframe policy = Keyframe::kAdaptive;
 
-  /// kFixedInterval: the key period (clamped to >= 1).
+  /// kFixedInterval: the key period (>= 1; 1 keys every frame).
   int key_interval = 10;
 
   /// kAdaptive: refresh when the mean |warped key gray - current gray|
@@ -82,14 +81,13 @@ struct DffServingConfig {
 
   FlowConfig flow;
 
-  /// Tiny dedicated render scale for the grayscale flow source; <= 0 uses
-  /// the full working-scale render (see DffConfig::flow_render_scale —
-  /// cheaper AND less aliased than downsampling a full-resolution render).
+  /// Flow is estimated from grayscale frames resized to the feature grid,
+  /// and that grayscale comes from a dedicated render at this (tiny) scale.
+  /// Warp frames therefore never render at the full working scale, which
+  /// is both much cheaper and less aliased than point-sampling a
+  /// full-resolution render down ~16x to the feature grid (the aliasing
+  /// measurably hurts flow quality).  Must be >= 1.
   int flow_render_scale = 96;
-
-  /// Compose per-frame flow steps into the key->current field instead of
-  /// matching key->current directly (see DffConfig::incremental_flow).
-  bool incremental_flow = true;
 
   /// Aborts loudly on nonsensical values instead of silently clamping or
   /// misbehaving (called by AdaScalePipeline::set_dff).
@@ -104,7 +102,7 @@ struct DffServingConfig {
       fail("residual_threshold must be finite and >= 0");
     if (!(scale_jump_frac >= 0.0f) || !std::isfinite(scale_jump_frac))
       fail("scale_jump_frac must be finite and >= 0 (0 disables)");
-    // flow_render_scale <= 0 is meaningful (legacy full-res flow source).
+    if (flow_render_scale < 1) fail("flow_render_scale must be >= 1");
   }
 };
 
@@ -120,7 +118,7 @@ struct DffStreamState {
   Tensor key_features;     ///< cached deep features of the key frame
   Tensor key_gray;         ///< key frame grayscale at feature resolution
   Tensor prev_gray;        ///< previous frame grayscale at feature resolution
-  Tensor acc_flow_y;       ///< composed key->previous flow (incremental mode)
+  Tensor acc_flow_y;       ///< composed key->previous flow
   Tensor acc_flow_x;
 };
 

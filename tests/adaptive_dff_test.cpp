@@ -1,27 +1,13 @@
-// Adaptive key-frame DFF: flow-quality-triggered refresh (extension beyond
-// the paper; see video/adaptive_dff.h).
-#include "video/adaptive_dff.h"
-
+// Adaptive key-frame DFF: flow-quality-triggered refresh (an extension
+// beyond the paper, after Zhu et al., CVPR 2018), served by
+// AdaScalePipeline's DFF branch (set_dff with kAdaptive).
 #include <gtest/gtest.h>
 
-#include <cstring>
-
+#include "adascale/pipeline.h"
 #include "data/dataset.h"
-#include "tensor/conv2d.h"
 
 namespace ada {
 namespace {
-
-/// MACs of the detection heads alone at an image size: the head entries of
-/// the detector's conv stack, which is all a non-key frame runs on the
-/// network.
-long long head_macs(const Detector& det, int img_h, int img_w) {
-  long long total = 0;
-  for (const Detector::ConvStackEntry& e : det.conv_stack(img_h, img_w))
-    if (std::strstr(e.name, "_head") != nullptr)
-      total += conv2d_macs(e.spec, e.in_h, e.in_w);
-  return total;
-}
 
 class AdaptiveDffFixture : public ::testing::Test {
  protected:
@@ -38,12 +24,24 @@ class AdaptiveDffFixture : public ::testing::Test {
     regressor_ = std::make_unique<ScaleRegressor>(rcfg, &rng2);
   }
 
-  AdaptiveDffPipeline make(const AdaptiveDffConfig& cfg,
-                           bool with_regressor = false) {
-    return AdaptiveDffPipeline(detector_.get(),
-                               with_regressor ? regressor_.get() : nullptr,
-                               &renderer_, dataset_.scale_policy(), cfg,
-                               ScaleSet::reg_default());
+  /// Adaptive DFF refreshing on the warp residual and after
+  /// `max_interval` warp frames; the scale-jump trigger is off.
+  static DffServingConfig adaptive(float residual_threshold,
+                                   int max_interval = 20) {
+    DffServingConfig cfg;
+    cfg.policy = DffServingConfig::Keyframe::kAdaptive;
+    cfg.residual_threshold = residual_threshold;
+    cfg.max_interval = max_interval;
+    cfg.scale_jump_frac = 0.0f;
+    return cfg;
+  }
+
+  AdaScalePipeline make(DffServingConfig cfg, bool adascale = false) {
+    AdaScalePipeline p(detector_.get(), regressor_.get(), &renderer_,
+                       dataset_.scale_policy(), ScaleSet::reg_default());
+    cfg.adascale = adascale;
+    p.set_dff(cfg);
+    return p;
   }
 
   Dataset dataset_;
@@ -53,99 +51,104 @@ class AdaptiveDffFixture : public ::testing::Test {
 };
 
 TEST_F(AdaptiveDffFixture, FirstFrameIsAlwaysKey) {
-  AdaptiveDffPipeline p = make(AdaptiveDffConfig{});
-  const auto out = p.process(dataset_.val_snippets()[0].frames[0]);
-  EXPECT_TRUE(out.is_key);
-  EXPECT_GT(out.backbone_ms, 0.0);
+  AdaScalePipeline p = make(DffServingConfig{});
+  const AdaFrameOutput out = p.process(dataset_.val_snippets()[0].frames[0]);
+  EXPECT_TRUE(out.dff_key);
   EXPECT_EQ(out.warp_residual, 0.0f);
 }
 
 TEST_F(AdaptiveDffFixture, HugeThresholdPropagatesUntilMaxInterval) {
-  AdaptiveDffConfig cfg;
-  cfg.residual_threshold = 1e9f;  // never triggers
-  cfg.max_interval = 4;
-  AdaptiveDffPipeline p = make(cfg);
+  // The residual never triggers, so only the interval guard refreshes: a
+  // key, then exactly max_interval warp frames, then the next key.
+  const int max_interval = 4;
+  AdaScalePipeline p = make(adaptive(1e9f, max_interval));
   const Snippet& snip = dataset_.val_snippets()[0];
-  int keys = 0;
+  long frame = 0;
   for (int rep = 0; rep < 2; ++rep)
     for (const Scene& f : snip.frames) {
-      const auto out = p.process(f);
-      if (out.is_key) ++keys;
+      const AdaFrameOutput out = p.process(f);
+      EXPECT_EQ(out.dff_key, frame % (max_interval + 1) == 0)
+          << "frame " << frame;
+      ++frame;
     }
-  const int frames = 2 * snip.num_frames();
-  // Keys only from the interval guard: 1 + floor((frames-1)/(max_interval+1))
-  // at most; certainly far fewer than the frame count.
-  EXPECT_GE(keys, 1);
-  EXPECT_LE(keys, frames / cfg.max_interval + 1);
-  EXPECT_NEAR(p.key_frame_share(), static_cast<double>(keys) / frames, 1e-9);
+  EXPECT_EQ(p.context().dff.frames, frame);
+  EXPECT_EQ(p.context().dff.keys, (frame + max_interval) / (max_interval + 1));
 }
 
 TEST_F(AdaptiveDffFixture, ZeroThresholdMakesEveryFrameKey) {
-  AdaptiveDffConfig cfg;
-  cfg.residual_threshold = -1.0f;  // every residual exceeds it
-  AdaptiveDffPipeline p = make(cfg);
+  // Every moving frame leaves a positive warp residual, which exceeds 0.
+  AdaScalePipeline p = make(adaptive(0.0f));
   const Snippet& snip = dataset_.val_snippets()[0];
-  for (const Scene& f : snip.frames) EXPECT_TRUE(p.process(f).is_key);
-  EXPECT_NEAR(p.key_frame_share(), 1.0, 1e-9);
+  for (const Scene& f : snip.frames) EXPECT_TRUE(p.process(f).dff_key);
+  EXPECT_EQ(p.context().dff.keys, static_cast<long>(snip.frames.size()));
 }
 
-TEST_F(AdaptiveDffFixture, NonKeyFramesAreCheaperThanKeys) {
-  // Work, not wall-clock: a warp frame never runs the backbone (its
-  // backbone_ms is exactly 0, a key frame's is not), so its network work is
-  // the heads alone — strictly below a full forward at the served scale.
-  AdaptiveDffConfig cfg;
-  cfg.residual_threshold = 1e9f;
-  AdaptiveDffPipeline p = make(cfg);
-  int keys = 0, warps = 0;
-  for (const Scene& f : dataset_.val_snippets()[0].frames) {
-    const auto out = p.process(f);
-    const int h = out.detections.image_h, w = out.detections.image_w;
-    ASSERT_GT(h, 0);
-    ASSERT_GT(w, 0);
-    if (out.is_key) {
-      EXPECT_GT(out.backbone_ms, 0.0);
-      ++keys;
-    } else {
-      EXPECT_EQ(out.backbone_ms, 0.0);
-      EXPECT_GT(out.flow_ms, 0.0);
-      EXPECT_LT(head_macs(*detector_, h, w), detector_->forward_macs(h, w));
-      ++warps;
+TEST_F(AdaptiveDffFixture, ResidualThresholdSplitsWarpsFromForcedKeys) {
+  // The trigger's contract, frame by frame: a warp frame's residual is at
+  // most the threshold, and every key after a snippet's first frame (the
+  // interval guard of 20 outlasts the snippets) carries the residual above
+  // the threshold that forced it.  Both kinds must occur for the split to
+  // be tested (this threshold is low enough that these snippets force
+  // some keys).
+  const float threshold = 0.002f;
+  AdaScalePipeline p = make(adaptive(threshold));
+  long warps = 0, forced = 0;
+  for (const Snippet& snip : dataset_.val_snippets()) {
+    p.reset();
+    for (std::size_t f = 0; f < snip.frames.size(); ++f) {
+      const AdaFrameOutput out = p.process(snip.frames[f]);
+      if (!out.dff_key) {
+        EXPECT_LE(out.warp_residual, threshold);
+        ++warps;
+      } else if (f > 0) {
+        EXPECT_GT(out.warp_residual, threshold);
+        ++forced;
+      }
     }
   }
-  ASSERT_GT(keys, 0);
-  ASSERT_GT(warps, 0);
+  EXPECT_GT(warps, 0);
+  EXPECT_GT(forced, 0);
+}
+
+TEST_F(AdaptiveDffFixture, WarpFramesSkipBackbone) {
+  // After a warp frame the detector's backbone output buffer still holds
+  // the key frame's features: the backbone did not run on it.
+  AdaScalePipeline p = make(adaptive(1e9f));
+  int warps = 0;
+  for (const Scene& f : dataset_.val_snippets()[0].frames) {
+    const AdaFrameOutput out = p.process(f);
+    const Tensor& live = detector_->features();
+    const Tensor& key = p.context().dff.key_features;
+    ASSERT_TRUE(live.same_shape(key));
+    for (std::size_t i = 0; i < key.size(); ++i) ASSERT_EQ(live[i], key[i]);
+    if (!out.dff_key) ++warps;
+  }
+  EXPECT_GT(warps, 0);
 }
 
 TEST_F(AdaptiveDffFixture, ScaleChangesOnlyAtKeyFrames) {
-  AdaptiveDffConfig cfg;
-  cfg.residual_threshold = 0.02f;
-  AdaptiveDffPipeline p = make(cfg, /*with_regressor=*/true);
+  AdaScalePipeline p = make(adaptive(0.02f), /*adascale=*/true);
   int last_scale = -1;
-  bool last_was_key = true;
   for (const Snippet& snip : dataset_.val_snippets())
     for (const Scene& f : snip.frames) {
-      const auto out = p.process(f);
+      const AdaFrameOutput out = p.process(f);
       if (last_scale >= 0 && out.scale_used != last_scale) {
-        EXPECT_TRUE(out.is_key) << "scale changed on a propagated frame";
+        EXPECT_TRUE(out.dff_key) << "scale changed on a propagated frame";
       }
       last_scale = out.scale_used;
-      last_was_key = out.is_key;
       EXPECT_GE(out.scale_used, 128);
       EXPECT_LE(out.scale_used, 600);
     }
-  (void)last_was_key;
 }
 
 TEST_F(AdaptiveDffFixture, ResetRestartsKeySchedule) {
-  AdaptiveDffConfig cfg;
-  cfg.residual_threshold = 1e9f;
-  AdaptiveDffPipeline p = make(cfg);
+  AdaScalePipeline p = make(adaptive(1e9f));
   const Snippet& snip = dataset_.val_snippets()[0];
   (void)p.process(snip.frames[0]);
   (void)p.process(snip.frames[1]);
   p.reset();
-  const auto out = p.process(snip.frames[2]);
-  EXPECT_TRUE(out.is_key);
+  const AdaFrameOutput out = p.process(snip.frames[2]);
+  EXPECT_TRUE(out.dff_key);
 }
 
 }  // namespace

@@ -4,9 +4,11 @@
 
 #include <cmath>
 #include <filesystem>
+#include <functional>
 
 #include "data/dataset.h"
 #include "detection/trainer.h"
+#include "runtime/exec_plan.h"
 
 namespace ada {
 namespace {
@@ -105,6 +107,19 @@ TEST(Detector, ForwardMacsDecreaseWithScale) {
   EXPECT_NEAR(static_cast<double>(big) / static_cast<double>(small), 6.25, 1.5);
 }
 
+void expect_same_detections(const DetectionOutput& a,
+                            const DetectionOutput& b) {
+  ASSERT_EQ(a.detections.size(), b.detections.size());
+  for (std::size_t i = 0; i < a.detections.size(); ++i) {
+    EXPECT_EQ(a.detections[i].class_id, b.detections[i].class_id);
+    EXPECT_EQ(a.detections[i].score, b.detections[i].score);
+    EXPECT_EQ(a.detections[i].box.x1, b.detections[i].box.x1);
+    EXPECT_EQ(a.detections[i].box.y1, b.detections[i].box.y1);
+    EXPECT_EQ(a.detections[i].box.x2, b.detections[i].box.x2);
+    EXPECT_EQ(a.detections[i].box.y2, b.detections[i].box.y2);
+  }
+}
+
 TEST(Detector, DetectFromFeaturesMatchesDetect) {
   Rng rng(9);
   Detector det(small_config(), &rng);
@@ -113,11 +128,50 @@ TEST(Detector, DetectFromFeaturesMatchesDetect) {
   const DetectionOutput a = det.detect(img);
   const Tensor feat = det.forward(img);  // copy features
   const DetectionOutput b = det.detect_from_features(feat, 48, 64);
-  ASSERT_EQ(a.detections.size(), b.detections.size());
-  for (std::size_t i = 0; i < a.detections.size(); ++i) {
-    EXPECT_NEAR(a.detections[i].score, b.detections[i].score, 1e-5f);
-    EXPECT_NEAR(a.detections[i].box.x1, b.detections[i].box.x1, 1e-3f);
+  EXPECT_GT(a.detections.size(), 0u);
+  expect_same_detections(a, b);
+}
+
+TEST(Detector, ForeignFeaturesRunThePlannedHeadKernels) {
+  // The DFF warp-frame path: heads on a feature map the backbone did not
+  // just produce must run the plan's kernels, not the eager ones.  Under an
+  // int8 policy with every measured race won by fp32, the plan runs packed
+  // fp32 heads while eager forward would run the quantized kernel, so only
+  // a planned head pass reproduces detect() bit for bit.
+  clear_autotune_cache();
+  set_autotune_bench(+[](const std::function<void()>& run) {
+    run();
+    static int calls = 0;
+    return 1.0e6 - static_cast<double>(++calls);  // the later (fp32) wins
+  });
+  Rng rng(9);
+  Detector det(small_config(), &rng);
+  Tensor img = Tensor::chw(3, 48, 64);
+  for (std::size_t i = 0; i < img.size(); ++i) img[i] = rng.uniform();
+  det.quantize({img});
+  det.set_execution_policy(ExecutionPolicy::int8());
+  const ExecutionPlan& plan = det.plan_for(1, 48, 64);
+  for (const PlanStep& step : plan.steps) {
+    if (step.autotuned) {
+      EXPECT_EQ(step.kernel, KernelKind::kGemmPacked) << step.layer;
+    }
   }
+
+  const DetectionOutput a = det.detect(img);
+  const Tensor feat = det.forward(img);  // copy features
+  const DetectionOutput b = det.detect_from_features(feat, 48, 64);
+  EXPECT_GT(a.detections.size(), 0u);
+  expect_same_detections(a, b);
+  set_autotune_bench(nullptr);
+  clear_autotune_cache();
+}
+
+TEST(DetectorDeathTest, DetectFromFeaturesRejectsMisfitFeatures) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  Rng rng(9);
+  Detector det(small_config(), &rng);
+  const Tensor feat(1, 16, 6, 8);  // a 48x64 image's feature grid
+  EXPECT_DEATH(det.detect_from_features(feat, 96, 64), "do not fit");
 }
 
 TEST(Detector, ParameterCountIsStable) {

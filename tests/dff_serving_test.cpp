@@ -1,23 +1,21 @@
 // DFF on the serving path: the keyframe/warp branch of AdaScalePipeline /
-// MultiStreamRunner must be a pure wiring change — bit-identical to the
-// already-trusted offline video pipelines (DffPipeline, AdaptiveDffPipeline,
-// Harness::run_dff) on the same input, and bit-identical between serial and
+// MultiStreamRunner, the one DFF implementation.  With a key on every frame
+// it must equal Algorithm 1 bit for bit (every head pass runs through the
+// execution plan), and it must be bit-identical between serial and
 // concurrent execution no matter how workers interleave the streams.
-// Serving is stateful for the first time here, so the suite also proves the
-// per-stream context carries no state across streams.
+// Serving is stateful here, so the suite also proves the per-stream context
+// carries no state across streams.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "adascale/pipeline.h"
 #include "adascale/scale_target.h"
 #include "data/dataset.h"
-#include "detection/box.h"
-#include "experiments/harness.h"
+#include "runtime/exec_plan.h"
 #include "runtime/multi_stream.h"
-#include "video/adaptive_dff.h"
-#include "video/dff.h"
 
 namespace ada {
 namespace {
@@ -91,226 +89,52 @@ class DffServingTest : public ::testing::Test {
   std::unique_ptr<ScaleRegressor> regressor_;
 };
 
-TEST_F(DffServingTest, FixedIntervalAdaScaleMatchesDffPipeline) {
-  // AdaScale-driven keyframing: the serving branch must retrace
-  // DffPipeline's exact state machine — same keys, same per-key scale
-  // switches, same detections, bit for bit.
-  DffConfig dcfg;
-  dcfg.key_interval = 4;
-  DffPipeline reference(detector_.get(), regressor_.get(), &renderer_,
-                        dataset_.scale_policy(), dcfg,
-                        ScaleSet::reg_default());
-  AdaScalePipeline serving = make_serving();
+TEST_F(DffServingTest, DffEveryKeyMatchesAlgorithm1) {
+  // With a key on every frame, AdaScale+DFF is Algorithm 1: each frame runs
+  // the backbone and heads at the scale regressed on the previous frame.
+  // The detector is int8-quantized and every planned step loses its
+  // measured race to fp32, so a head pass that skipped the plan (eager
+  // forward runs the quantized kernel) would change the detections.
+  clear_autotune_cache();
+  set_autotune_bench(+[](const std::function<void()>& run) {
+    run();
+    static int calls = 0;
+    return 1.0e6 - static_cast<double>(++calls);  // the later (fp32) wins
+  });
+  std::vector<Tensor> calib;
+  for (const Scene& frame : dataset_.val_snippets()[0].frames)
+    calib.push_back(
+        renderer_.render_at_scale(frame, 600, dataset_.scale_policy()));
+  detector_->quantize(calib);
+  detector_->set_execution_policy(ExecutionPolicy::int8());
+  regressor_->set_execution_policy(ExecutionPolicy::fp32());
+
+  AdaScalePipeline algorithm1 = make_serving();
+  AdaScalePipeline dff = make_serving();
   DffServingConfig scfg;
   scfg.policy = DffServingConfig::Keyframe::kFixedInterval;
-  scfg.key_interval = 4;
+  scfg.key_interval = 1;
   scfg.adascale = true;
-  serving.set_dff(scfg);
+  dff.set_dff(scfg);
 
+  long detections = 0;
   for (const Snippet& snip : dataset_.val_snippets()) {
-    reference.reset();
-    serving.reset();
+    algorithm1.reset();
+    dff.reset();
     for (const Scene& frame : snip.frames) {
-      const DffFrameOutput a = reference.process(frame);
-      const AdaFrameOutput b = serving.process(frame);
-      EXPECT_TRUE(b.dff);
-      EXPECT_EQ(a.is_key, b.dff_key);
+      const AdaFrameOutput a = algorithm1.process(frame);
+      const AdaFrameOutput b = dff.process(frame);
+      ASSERT_TRUE(b.dff_key);
       EXPECT_EQ(a.scale_used, b.scale_used);
+      EXPECT_EQ(a.next_scale, b.next_scale);
+      EXPECT_EQ(a.regressed_t, b.regressed_t);
       expect_equal_detections(a.detections, b.detections);
+      detections += static_cast<long>(a.detections.detections.size());
     }
   }
-}
-
-TEST_F(DffServingTest, FixedScaleMatchesDffPipelineWithoutRegressor) {
-  // adascale=false is plain DFF: the regressor never runs, the scale stays
-  // pinned at init.  Must match DffPipeline built with a null regressor.
-  DffConfig dcfg;
-  dcfg.key_interval = 3;
-  DffPipeline reference(detector_.get(), nullptr, &renderer_,
-                        dataset_.scale_policy(), dcfg, ScaleSet::reg_default(),
-                        /*init_scale=*/480);
-  AdaScalePipeline serving = make_serving(/*init_scale=*/480);
-  DffServingConfig scfg;
-  scfg.policy = DffServingConfig::Keyframe::kFixedInterval;
-  scfg.key_interval = 3;
-  scfg.adascale = false;
-  serving.set_dff(scfg);
-
-  for (const Snippet& snip : dataset_.val_snippets()) {
-    reference.reset();
-    serving.reset();
-    for (const Scene& frame : snip.frames) {
-      const DffFrameOutput a = reference.process(frame);
-      const AdaFrameOutput b = serving.process(frame);
-      EXPECT_EQ(a.is_key, b.dff_key);
-      EXPECT_EQ(b.scale_used, 480);
-      EXPECT_EQ(b.regressed_t, 0.0f);
-      expect_equal_detections(a.detections, b.detections);
-    }
-  }
-}
-
-TEST_F(DffServingTest, LegacyFlowSourceStillMatchesDffPipeline) {
-  // The pre-tiny-render flow configuration (grayscale from the full
-  // working-scale render, direct key->current matching) remains a supported
-  // mode and must stay bit-identical between serving and DffPipeline.
-  DffConfig dcfg;
-  dcfg.key_interval = 4;
-  dcfg.flow_render_scale = 0;
-  dcfg.incremental_flow = false;
-  DffPipeline reference(detector_.get(), regressor_.get(), &renderer_,
-                        dataset_.scale_policy(), dcfg,
-                        ScaleSet::reg_default());
-  AdaScalePipeline serving = make_serving();
-  DffServingConfig scfg;
-  scfg.policy = DffServingConfig::Keyframe::kFixedInterval;
-  scfg.key_interval = 4;
-  scfg.adascale = true;
-  scfg.flow_render_scale = 0;
-  scfg.incremental_flow = false;
-  serving.set_dff(scfg);
-
-  for (const Snippet& snip : dataset_.val_snippets()) {
-    reference.reset();
-    serving.reset();
-    for (const Scene& frame : snip.frames) {
-      const DffFrameOutput a = reference.process(frame);
-      const AdaFrameOutput b = serving.process(frame);
-      EXPECT_EQ(a.is_key, b.dff_key);
-      EXPECT_EQ(a.scale_used, b.scale_used);
-      expect_equal_detections(a.detections, b.detections);
-    }
-  }
-}
-
-TEST_F(DffServingTest, AdaptiveMatchesAdaptiveDffPipeline) {
-  // With the scale-jump trigger off, the adaptive serving branch is exactly
-  // AdaptiveDffPipeline: same residual arithmetic, same forced keys, same
-  // max_interval refreshes.
-  AdaptiveDffConfig acfg;
-  acfg.residual_threshold = 0.02f;  // low enough to exercise forced keys
-  acfg.max_interval = 6;
-  AdaptiveDffPipeline reference(detector_.get(), regressor_.get(), &renderer_,
-                                dataset_.scale_policy(), acfg,
-                                ScaleSet::reg_default());
-  AdaScalePipeline serving = make_serving();
-  DffServingConfig scfg;
-  scfg.policy = DffServingConfig::Keyframe::kAdaptive;
-  scfg.residual_threshold = 0.02f;
-  scfg.max_interval = 6;
-  scfg.scale_jump_frac = 0.0f;
-  scfg.adascale = true;
-  serving.set_dff(scfg);
-
-  long keys = 0, forced = 0;
-  for (const Snippet& snip : dataset_.val_snippets()) {
-    reference.reset();
-    serving.reset();
-    for (const Scene& frame : snip.frames) {
-      const AdaptiveDffFrameOutput a = reference.process(frame);
-      const AdaFrameOutput b = serving.process(frame);
-      EXPECT_EQ(a.is_key, b.dff_key);
-      EXPECT_EQ(a.scale_used, b.scale_used);
-      EXPECT_EQ(a.warp_residual, b.warp_residual);
-      expect_equal_detections(a.detections, b.detections);
-      if (b.dff_key) ++keys;
-      if (b.dff_key && b.warp_residual > 0.0f) ++forced;
-    }
-  }
-  EXPECT_GT(keys, 0);
-}
-
-TEST_F(DffServingTest, ServingMatchesHarnessRunDff) {
-  // End-to-end: a 1-stream MultiStreamRunner in DFF mode must reproduce
-  // Harness::run_dff bit for bit — same snippets, same renderer, detections
-  // equal after the same reference-frame rescale the harness applies.
-  Harness h(Dataset::synth_vid(1, 4, 77), /*cache_dir=*/"");
-  DffConfig dcfg;
-  dcfg.key_interval = 5;
-  const std::vector<SnippetRun> runs =
-      h.run_dff(detector_.get(), regressor_.get(), dcfg,
-                ScaleSet::reg_default());
-
-  MultiStreamRunner runner(detector_.get(), regressor_.get(), &h.renderer(),
-                           h.dataset().scale_policy(), ScaleSet::reg_default(),
-                           /*num_streams=*/1);
-  DffServingConfig scfg;
-  scfg.policy = DffServingConfig::Keyframe::kFixedInterval;
-  scfg.key_interval = 5;
-  scfg.adascale = true;
-  runner.set_dff(scfg);
-  std::vector<const Snippet*> jobs;
-  for (const Snippet& s : h.dataset().val_snippets()) jobs.push_back(&s);
-  const MultiStreamResult res = runner.run_serial(jobs);
-
-  ASSERT_EQ(runs.size(), jobs.size());
-  std::size_t fi = 0;
-  for (std::size_t s = 0; s < runs.size(); ++s) {
-    ASSERT_EQ(runs[s].frame_dets.size(), jobs[s]->frames.size());
-    for (std::size_t f = 0; f < runs[s].frame_dets.size(); ++f, ++fi) {
-      ASSERT_LT(fi, res.streams[0].frames.size());
-      const AdaFrameOutput& out = res.streams[0].frames[fi];
-      EXPECT_EQ(out.scale_used, runs[s].frame_scales[f]);
-      const auto& ref = runs[s].frame_dets[f];
-      const auto& dets = out.detections.detections;
-      ASSERT_EQ(dets.size(), ref.size());
-      for (std::size_t d = 0; d < dets.size(); ++d) {
-        const Box rb =
-            rescale_box(dets[d].box, out.detections.image_h,
-                        out.detections.image_w, h.reference_h(),
-                        h.reference_w());
-        EXPECT_EQ(dets[d].class_id, ref[d].class_id);
-        EXPECT_EQ(dets[d].score, ref[d].score);
-        EXPECT_EQ(rb.x1, ref[d].box.x1);
-        EXPECT_EQ(rb.y1, ref[d].box.y1);
-        EXPECT_EQ(rb.x2, ref[d].box.x2);
-        EXPECT_EQ(rb.y2, ref[d].box.y2);
-      }
-    }
-  }
-  EXPECT_EQ(fi, res.streams[0].frames.size());
-}
-
-TEST_F(DffServingTest, FixedScaleServingMatchesHarnessRunDff) {
-  // Plain-DFF flavor of the same end-to-end equivalence (run_dff with a
-  // null regressor vs serving with adascale=false).
-  Harness h(Dataset::synth_vid(1, 4, 77), /*cache_dir=*/"");
-  DffConfig dcfg;
-  dcfg.key_interval = 4;
-  const std::vector<SnippetRun> runs =
-      h.run_dff(detector_.get(), nullptr, dcfg, ScaleSet::reg_default());
-
-  MultiStreamRunner runner(detector_.get(), regressor_.get(), &h.renderer(),
-                           h.dataset().scale_policy(), ScaleSet::reg_default(),
-                           /*num_streams=*/1);
-  DffServingConfig scfg;
-  scfg.policy = DffServingConfig::Keyframe::kFixedInterval;
-  scfg.key_interval = 4;
-  scfg.adascale = false;
-  runner.set_dff(scfg);
-  std::vector<const Snippet*> jobs;
-  for (const Snippet& s : h.dataset().val_snippets()) jobs.push_back(&s);
-  const MultiStreamResult res = runner.run_serial(jobs);
-
-  std::size_t fi = 0;
-  for (std::size_t s = 0; s < runs.size(); ++s) {
-    for (std::size_t f = 0; f < runs[s].frame_dets.size(); ++f, ++fi) {
-      const AdaFrameOutput& out = res.streams[0].frames[fi];
-      EXPECT_EQ(out.scale_used, runs[s].frame_scales[f]);
-      const auto& ref = runs[s].frame_dets[f];
-      const auto& dets = out.detections.detections;
-      ASSERT_EQ(dets.size(), ref.size());
-      for (std::size_t d = 0; d < dets.size(); ++d) {
-        const Box rb =
-            rescale_box(dets[d].box, out.detections.image_h,
-                        out.detections.image_w, h.reference_h(),
-                        h.reference_w());
-        EXPECT_EQ(dets[d].score, ref[d].score);
-        EXPECT_EQ(rb.x1, ref[d].box.x1);
-        EXPECT_EQ(rb.y2, ref[d].box.y2);
-      }
-    }
-  }
+  EXPECT_GT(detections, 0) << "no detections: the comparison is vacuous";
+  set_autotune_bench(nullptr);
+  clear_autotune_cache();
 }
 
 TEST_F(DffServingTest, ConcurrentDffMatchesSerialDff) {

@@ -1,24 +1,17 @@
-#include "video/dff.h"
-
+// Deep Feature Flow at a fixed key interval (the paper's Fig. 7 DFF rows),
+// served by AdaScalePipeline's DFF branch (set_dff with kFixedInterval).
 #include <gtest/gtest.h>
 
-#include <cstring>
-
+#include "adascale/pipeline.h"
 #include "data/dataset.h"
-#include "tensor/conv2d.h"
+#include "experiments/harness.h"
 
 namespace ada {
 namespace {
 
-/// MACs of the detection heads alone at an image size: the head entries of
-/// the detector's conv stack, which is all a non-key frame runs on the
-/// network.
-long long head_macs(const Detector& det, int img_h, int img_w) {
-  long long total = 0;
-  for (const Detector::ConvStackEntry& e : det.conv_stack(img_h, img_w))
-    if (std::strstr(e.name, "_head") != nullptr)
-      total += conv2d_macs(e.spec, e.in_h, e.in_w);
-  return total;
+void expect_equal_tensors(const Tensor& a, const Tensor& b) {
+  ASSERT_TRUE(a.same_shape(b));
+  for (std::size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]) << i;
 }
 
 struct DffFixture : public ::testing::Test {
@@ -36,6 +29,25 @@ struct DffFixture : public ::testing::Test {
     regressor = std::make_unique<ScaleRegressor>(rcfg, &rng);
   }
 
+  /// A pipeline serving fixed-interval DFF: AdaScale picks each key's
+  /// scale, or with `adascale` false the scale stays at `init_scale`.
+  AdaScalePipeline make(int key_interval, bool adascale,
+                        int init_scale = 600) {
+    AdaScalePipeline p(detector.get(), regressor.get(), &renderer,
+                       dataset.scale_policy(), ScaleSet::reg_default(),
+                       init_scale);
+    DffServingConfig cfg;
+    cfg.policy = DffServingConfig::Keyframe::kFixedInterval;
+    cfg.key_interval = key_interval;
+    cfg.adascale = adascale;
+    p.set_dff(cfg);
+    return p;
+  }
+
+  const std::vector<Scene>& frames() const {
+    return dataset.val_snippets()[0].frames;
+  }
+
   Dataset dataset;
   Renderer renderer;
   std::unique_ptr<Detector> detector;
@@ -43,81 +55,70 @@ struct DffFixture : public ::testing::Test {
 };
 
 TEST_F(DffFixture, KeyFramePattern) {
-  DffConfig cfg;
-  cfg.key_interval = 4;
-  DffPipeline p(detector.get(), nullptr, &renderer, dataset.scale_policy(),
-                cfg, ScaleSet::reg_default());
-  const auto& frames = dataset.val_snippets()[0].frames;
-  for (std::size_t f = 0; f < frames.size(); ++f) {
-    const DffFrameOutput out = p.process(frames[f]);
-    EXPECT_EQ(out.is_key, f % 4 == 0) << "frame " << f;
+  AdaScalePipeline p = make(4, /*adascale=*/false);
+  for (std::size_t f = 0; f < frames().size(); ++f) {
+    const AdaFrameOutput out = p.process(frames()[f]);
+    EXPECT_TRUE(out.dff);
+    EXPECT_EQ(out.dff_key, f % 4 == 0) << "frame " << f;
   }
+  EXPECT_EQ(p.context().dff.keys,
+            static_cast<long>((frames().size() + 3) / 4));
 }
 
 TEST_F(DffFixture, NonKeyFramesSkipBackbone) {
-  DffConfig cfg;
-  cfg.key_interval = 3;
-  DffPipeline p(detector.get(), nullptr, &renderer, dataset.scale_policy(),
-                cfg, ScaleSet::reg_default());
-  const auto& frames = dataset.val_snippets()[0].frames;
+  // The detector's backbone output buffer still holds the key frame's
+  // features after every warp frame: the backbone did not run on it (a
+  // forward on the moved scene would have overwritten them).
+  AdaScalePipeline p = make(3, /*adascale=*/false);
+  int warps = 0;
   for (std::size_t f = 0; f < 6; ++f) {
-    const DffFrameOutput out = p.process(frames[f]);
-    if (out.is_key) {
-      EXPECT_GT(out.backbone_ms, 0.0);
-      EXPECT_EQ(out.flow_ms, 0.0);
-    } else {
-      EXPECT_EQ(out.backbone_ms, 0.0);
-      EXPECT_GT(out.flow_ms, 0.0);
-    }
+    const AdaFrameOutput out = p.process(frames()[f]);
+    EXPECT_EQ(out.dff_key, f % 3 == 0);
+    expect_equal_tensors(detector->features(), p.context().dff.key_features);
+    if (!out.dff_key) ++warps;
   }
+  EXPECT_EQ(warps, 4);
 }
 
-TEST_F(DffFixture, NonKeyCheaperThanKey) {
-  // Work, not wall-clock: a non-key frame never runs the backbone (its
-  // backbone_ms is exactly 0, a key frame's is not), so its network work is
-  // the heads alone — strictly below a full forward at the served scale.
-  DffConfig cfg;
+TEST_F(DffFixture, HarnessChargesHeadsOnlyOnWarpFrames) {
+  // Work, not wall-clock: Harness::run_dff charges a key frame a full
+  // forward and a warp frame the heads alone, at the served scale.
+  Harness h(Dataset::synth_vid(1, 1, 9), /*cache_dir=*/"");
+  DffServingConfig cfg;
+  cfg.policy = DffServingConfig::Keyframe::kFixedInterval;
   cfg.key_interval = 5;
-  DffPipeline p(detector.get(), nullptr, &renderer, dataset.scale_policy(),
-                cfg, ScaleSet::reg_default());
-  int keys = 0, nonkeys = 0;
-  for (const Scene& frame : dataset.val_snippets()[0].frames) {
-    const DffFrameOutput out = p.process(frame);
-    const int h = out.detections.image_h, w = out.detections.image_w;
-    ASSERT_GT(h, 0);
-    ASSERT_GT(w, 0);
-    if (out.is_key) {
-      EXPECT_GT(out.backbone_ms, 0.0);
-      ++keys;
-    } else {
-      EXPECT_EQ(out.backbone_ms, 0.0);
-      EXPECT_LT(head_macs(*detector, h, w), detector->forward_macs(h, w));
-      ++nonkeys;
-    }
-  }
-  ASSERT_GT(keys, 0);
-  ASSERT_GT(nonkeys, 0);
+  cfg.adascale = false;
+  const std::vector<SnippetRun> runs = h.run_dff(
+      detector.get(), regressor.get(), cfg, ScaleSet::reg_default());
+  ASSERT_EQ(runs.size(), 1u);
+  const SnippetRun& run = runs[0];
+  ASSERT_EQ(run.frame_macs.size(), frames().size());
+  const int img_h = dataset.scale_policy().render_h(600);
+  const int img_w = dataset.scale_policy().render_w(600);
+  const long long full = detector->forward_macs(img_h, img_w);
+  const long long heads = detector->head_macs(img_h, img_w);
+  ASSERT_LT(heads, full);
+  for (std::size_t f = 0; f < run.frame_macs.size(); ++f)
+    EXPECT_EQ(run.frame_macs[f], f % 5 == 0 ? full : heads) << "frame " << f;
+  EXPECT_EQ(run.key_frames, static_cast<int>((frames().size() + 4) / 5));
 }
 
-TEST_F(DffFixture, FixedScaleWithoutRegressor) {
-  DffPipeline p(detector.get(), nullptr, &renderer, dataset.scale_policy(),
-                DffConfig{}, ScaleSet::reg_default(), 480);
-  for (const Scene& frame : dataset.val_snippets()[0].frames) {
-    const DffFrameOutput out = p.process(frame);
+TEST_F(DffFixture, FixedScaleWithoutAdaScale) {
+  AdaScalePipeline p = make(10, /*adascale=*/false, /*init_scale=*/480);
+  for (const Scene& frame : frames()) {
+    const AdaFrameOutput out = p.process(frame);
     EXPECT_EQ(out.scale_used, 480);
+    EXPECT_EQ(out.next_scale, 480);
+    EXPECT_EQ(out.regressed_t, 0.0f) << "the regressor ran";
   }
 }
 
 TEST_F(DffFixture, AdaScaleChangesScaleOnlyAtKeyFrames) {
-  DffConfig cfg;
-  cfg.key_interval = 3;
-  DffPipeline p(detector.get(), regressor.get(), &renderer,
-                dataset.scale_policy(), cfg, ScaleSet::reg_default());
-  const auto& frames = dataset.val_snippets()[0].frames;
+  AdaScalePipeline p = make(3, /*adascale=*/true);
   int last_scale = -1;
-  for (std::size_t f = 0; f < frames.size(); ++f) {
-    const DffFrameOutput out = p.process(frames[f]);
-    if (!out.is_key && last_scale >= 0) {
+  for (std::size_t f = 0; f < frames().size(); ++f) {
+    const AdaFrameOutput out = p.process(frames()[f]);
+    if (!out.dff_key && last_scale >= 0) {
       EXPECT_EQ(out.scale_used, last_scale) << "scale changed mid-interval";
     }
     last_scale = out.scale_used;
@@ -126,49 +127,35 @@ TEST_F(DffFixture, AdaScaleChangesScaleOnlyAtKeyFrames) {
   }
 }
 
-TEST_F(DffFixture, NonPositiveKeyIntervalClampsToEveryFrameKey) {
-  // Regression: key_interval <= 0 used to hit a modulo-by-zero; it now
-  // clamps to 1, i.e. the backbone runs on every frame.
-  DffConfig cfg;
-  cfg.key_interval = 0;
-  DffPipeline p(detector.get(), nullptr, &renderer, dataset.scale_policy(),
-                cfg, ScaleSet::reg_default());
-  const auto& frames = dataset.val_snippets()[0].frames;
-  for (std::size_t f = 0; f < 3; ++f) {
-    const DffFrameOutput out = p.process(frames[f]);
-    EXPECT_TRUE(out.is_key) << "frame " << f;
-  }
-}
-
 TEST_F(DffFixture, ResetStartsNewKeyInterval) {
-  DffConfig cfg;
-  cfg.key_interval = 4;
-  DffPipeline p(detector.get(), nullptr, &renderer, dataset.scale_policy(),
-                cfg, ScaleSet::reg_default());
-  const auto& frames = dataset.val_snippets()[0].frames;
-  p.process(frames[0]);
-  p.process(frames[1]);
+  AdaScalePipeline p = make(4, /*adascale=*/false);
+  p.process(frames()[0]);
+  p.process(frames()[1]);
   p.reset();
-  const DffFrameOutput out = p.process(frames[2]);
-  EXPECT_TRUE(out.is_key);
+  const AdaFrameOutput out = p.process(frames()[2]);
+  EXPECT_TRUE(out.dff_key);
 }
 
-TEST_F(DffFixture, WarpedDetectionsSimilarToFullOnStaticScene) {
-  // A static scene means zero flow: warped features equal key features, so
-  // non-key detections must match key detections exactly.
-  Scene static_scene = dataset.val_snippets()[0].frames[0];
-  DffConfig cfg;
-  cfg.key_interval = 2;
-  DffPipeline p(detector.get(), nullptr, &renderer, dataset.scale_policy(),
-                cfg, ScaleSet::reg_default());
-  const DffFrameOutput key = p.process(static_scene);
-  const DffFrameOutput warped = p.process(static_scene);
-  ASSERT_FALSE(warped.is_key);
-  ASSERT_EQ(key.detections.detections.size(),
-            warped.detections.detections.size());
-  for (std::size_t i = 0; i < key.detections.detections.size(); ++i) {
-    EXPECT_NEAR(key.detections.detections[i].score,
-                warped.detections.detections[i].score, 0.05f);
+TEST_F(DffFixture, WarpedDetectionsEqualKeyOnStaticScene) {
+  // A static scene means zero flow: warped features equal key features, and
+  // the warp frame's heads run the same planned kernels as the key frame's,
+  // so its detections must equal the key's bit for bit.
+  const Scene static_scene = frames()[0];
+  AdaScalePipeline p = make(2, /*adascale=*/false);
+  const AdaFrameOutput key = p.process(static_scene);
+  const AdaFrameOutput warped = p.process(static_scene);
+  ASSERT_TRUE(key.dff_key);
+  ASSERT_FALSE(warped.dff_key);
+  const auto& a = key.detections.detections;
+  const auto& b = warped.detections.detections;
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].class_id, b[i].class_id);
+    EXPECT_EQ(a[i].score, b[i].score);
+    EXPECT_EQ(a[i].box.x1, b[i].box.x1);
+    EXPECT_EQ(a[i].box.y1, b[i].box.y1);
+    EXPECT_EQ(a[i].box.x2, b[i].box.x2);
+    EXPECT_EQ(a[i].box.y2, b[i].box.y2);
   }
 }
 

@@ -17,6 +17,21 @@ namespace {
 
 class IntegrationFixture : public ::testing::Test {
  protected:
+  /// Conv MACs of one full forward at `scale` — exact integers, so sums
+  /// and means of them compare exactly.
+  static double macs(const Detector* det, int scale) {
+    const ScalePolicy& policy = harness()->dataset().scale_policy();
+    return static_cast<double>(
+        det->forward_macs(policy.render_h(scale), policy.render_w(scale)));
+  }
+
+  /// Mean full-forward MACs over one scale per frame.
+  static double mean_macs(const Detector* det, const std::vector<int>& scales) {
+    double total = 0.0;
+    for (int s : scales) total += macs(det, s);
+    return total / static_cast<double>(scales.size());
+  }
+
   // One harness shared by all integration tests (training happens once).
   static Harness* harness() {
     static Harness* h = [] {
@@ -91,24 +106,56 @@ TEST_F(IntegrationFixture, AdaScaleRunsAndStaysInRange) {
 TEST_F(IntegrationFixture, MultiScaleSlowestRandomBetween) {
   Harness* h = harness();
   Detector* det = h->detector(ScaleSet::train_default());
+  const ScaleSet sreg = ScaleSet::reg_default();
   MethodRun ss = h->evaluate("SS", h->run_fixed(det, 600));
-  MethodRun ms = h->evaluate("MS", h->run_multiscale(det, ScaleSet::reg_default()));
-  MethodRun rnd = h->evaluate("Rnd", h->run_random(det, ScaleSet::reg_default(), 1));
-  // Multi-shot testing runs every scale: strictly slower than single-scale.
-  EXPECT_GT(ms.mean_ms, ss.mean_ms * 1.2);
-  // Random scaling is cheaper than always-600.
-  EXPECT_LT(rnd.mean_ms, ss.mean_ms * 1.05);
+  MethodRun ms = h->evaluate("MS", h->run_multiscale(det, sreg));
+  MethodRun rnd = h->evaluate("Rnd", h->run_random(det, sreg, 1));
+  // Work, not wall-clock.  Single-scale runs one forward at 600 per frame.
+  EXPECT_EQ(ss.mean_macs, macs(det, 600));
+  // Multi-shot testing runs every scale of S_reg on every frame: strictly
+  // more work than single-scale.
+  double all_scales = 0.0;
+  for (int s : sreg.scales) all_scales += macs(det, s);
+  EXPECT_EQ(ms.mean_macs, all_scales);
+  EXPECT_GT(ms.mean_macs, ss.mean_macs * 1.2);
+  // Random scaling runs one forward at the drawn scale: cheaper than
+  // always-600.
+  EXPECT_EQ(rnd.mean_macs, mean_macs(det, rnd.used_scales));
+  EXPECT_LT(rnd.mean_macs, ss.mean_macs * 1.05);
 }
 
 TEST_F(IntegrationFixture, DffFasterThanFullPerFrame) {
   Harness* h = harness();
   Detector* det = h->detector(ScaleSet::train_default());
-  DffConfig cfg;
+  ScaleRegressor* reg = h->regressor(ScaleSet::train_default(),
+                                     h->default_regressor_config());
+  DffServingConfig cfg;  // plain DFF at 600, a key every 5 frames
+  cfg.policy = DffServingConfig::Keyframe::kFixedInterval;
   cfg.key_interval = 5;
-  MethodRun dff = h->evaluate("DFF", h->run_dff(det, nullptr, cfg,
-                                                ScaleSet::reg_default()));
+  cfg.adascale = false;
+  std::vector<SnippetRun> runs =
+      h->run_dff(det, reg, cfg, ScaleSet::reg_default());
+  long keys = 0, frames = 0;
+  for (const Snippet& snip : h->dataset().val_snippets()) {
+    keys += (snip.num_frames() + 4) / 5;
+    frames += snip.num_frames();
+  }
+  long run_keys = 0;
+  for (const SnippetRun& run : runs) run_keys += run.key_frames;
+  EXPECT_EQ(run_keys, keys);
+  MethodRun dff = h->evaluate("DFF", std::move(runs));
   MethodRun full = h->evaluate("full", h->run_fixed(det, 600));
-  EXPECT_LT(dff.mean_ms, full.mean_ms);
+  // Work, not wall-clock: key frames run the full forward, warp frames the
+  // heads alone.
+  const ScalePolicy& policy = h->dataset().scale_policy();
+  const double heads = static_cast<double>(
+      det->head_macs(policy.render_h(600), policy.render_w(600)));
+  EXPECT_EQ(full.mean_macs, macs(det, 600));
+  EXPECT_EQ(dff.mean_macs,
+            (static_cast<double>(keys) * macs(det, 600) +
+             static_cast<double>(frames - keys) * heads) /
+                static_cast<double>(frames));
+  EXPECT_LT(dff.mean_macs, full.mean_macs);
 }
 
 TEST_F(IntegrationFixture, SeqNmsDoesNotCrashAndKeepsMapReasonable) {
@@ -140,10 +187,12 @@ TEST_F(IntegrationFixture, OracleRunnerUsesPerFrameOptimalScales) {
   ASSERT_FALSE(oracle.used_scales.empty());
   for (int s : oracle.used_scales)
     EXPECT_TRUE(ScaleSet::reg_default().contains(s));
-  // The oracle picks per-frame argmin scales, so it must not be slower than
-  // always running 600 (it can only choose 600 or cheaper).
+  // The oracle is charged one forward at each frame's chosen scale, so it
+  // must not cost more than always running 600 (it can only choose 600 or
+  // cheaper).
   MethodRun fixed = h->evaluate("fixed", h->run_fixed(det, 600));
-  EXPECT_LE(oracle.mean_ms, fixed.mean_ms * 1.1);
+  EXPECT_EQ(oracle.mean_macs, mean_macs(det, oracle.used_scales));
+  EXPECT_LE(oracle.mean_macs, fixed.mean_macs * 1.1);
 }
 
 TEST_F(IntegrationFixture, SameFrameVariantCostsTwoDetections) {
@@ -155,8 +204,24 @@ TEST_F(IntegrationFixture, SameFrameVariantCostsTwoDetections) {
       "lagged", h->run_adascale(det, reg, ScaleSet::reg_default()));
   MethodRun same = h->evaluate(
       "same", h->run_adascale_same_frame(det, reg, ScaleSet::reg_default()));
-  // The lag-free variant re-detects every frame: clearly slower.
-  EXPECT_GT(same.mean_ms, lagged.mean_ms * 1.2);
+  // The lag-free variant detects every frame twice — at the scale inherited
+  // from the previous frame (600 on a snippet's first), then at the scale
+  // it decodes — where Algorithm 1 detects once: clearly more work.
+  double same_total = 0.0;
+  std::size_t i = 0;
+  for (const Snippet& snip : h->dataset().val_snippets()) {
+    int inherited = 600;
+    for (int f = 0; f < snip.num_frames(); ++f, ++i) {
+      const int chosen = same.used_scales[i];
+      same_total += macs(det, inherited) + macs(det, chosen);
+      inherited = chosen;
+    }
+  }
+  ASSERT_EQ(i, same.used_scales.size());
+  EXPECT_EQ(same.mean_macs,
+            same_total / static_cast<double>(same.used_scales.size()));
+  EXPECT_EQ(lagged.mean_macs, mean_macs(det, lagged.used_scales));
+  EXPECT_GT(same.mean_macs, lagged.mean_macs * 1.2);
   for (int s : same.used_scales) {
     EXPECT_GE(s, 128);
     EXPECT_LE(s, 600);

@@ -73,6 +73,12 @@ TEST(ConfigValidationDeathTest, DffServingRejectsNonsense) {
   DffServingConfig neg_residual;
   neg_residual.residual_threshold = -0.1f;
   EXPECT_DEATH(neg_residual.validate(), "residual_threshold");
+  DffServingConfig no_flow_render;
+  no_flow_render.flow_render_scale = 0;
+  EXPECT_DEATH(no_flow_render.validate(), "flow_render_scale");
+  DffServingConfig neg_flow_render;
+  neg_flow_render.flow_render_scale = -96;
+  EXPECT_DEATH(neg_flow_render.validate(), "flow_render_scale");
 }
 
 // ---------------------------------------------------------------------------
